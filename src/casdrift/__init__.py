@@ -13,10 +13,8 @@ from .errors import (
     ConfigError,
     DomainError,
     EvaluationError,
-    IntegrationError,
     ModelValidityError,
     NormalizationError,
-    OracleError,
     ProbeError,
     SummationError,
 )
@@ -25,6 +23,7 @@ from .lifshitz import (
     Plate,
     SummationResult,
     Tolerances,
+    energy_ratio,
     free_energy_per_area,
     g_mode,
     pc_n0_ratio_asymptote,
@@ -57,26 +56,18 @@ from .reflection import (
     Nonlocal,
     ReflectionModel,
     amplitude_fn,
-    chi,
     drift_quantities,
-    eta_L,
-    eta_T,
-    r_oracle_bc,
     r_te,
     r_tm,
 )
 from .spatial import (
+    DriftTensor,
     HFunctions,
-    PermittivityTensor,
-    H_te,
-    H_tm,
     eps_par_drift,
     eps_perp_drift,
     h_integrals,
     make_drift_tensor,
-    r_from_H,
     r_from_H_tilde,
-    unit_tensor,
     verify_equivalence,
 )
 from .thermo import EntropyPoint, GProbe, NernstReport, entropy, g_probe, nernst_sweep

@@ -46,6 +46,7 @@ from .materials import (
     get_material,
 )
 from .reflection import Bare, Conductivity, Drift, Nonlocal, ReflectionModel
+from .thermo import ENTROPY_TOL
 
 __all__ = [
     "RunConfig",
@@ -260,10 +261,15 @@ def build_run_config(args, subcommand: str) -> RunConfig:
     distances_um = parse_distances_um(d_text)
     distances_cm = tuple(v * phys.CM_PER_UM for v in distances_um)
 
+    # entropy runs default tighter: the finite difference divides the
+    # free-energy noise by the temperature step
+    default_tol = ENTROPY_TOL if subcommand in ("entropy", "nernst") else Tolerances()
     try:
         tol = Tolerances(
-            quad_rel=float(pick(getattr(args, "tol_quad", None), "tol-quad", 1e-8)),
-            sum_rel=float(pick(getattr(args, "tol_sum", None), "tol-sum", 1e-10)),
+            quad_rel=float(pick(getattr(args, "tol_quad", None), "tol-quad",
+                                default_tol.quad_rel)),
+            sum_rel=float(pick(getattr(args, "tol_sum", None), "tol-sum",
+                               default_tol.sum_rel)),
         )
     except ValueError as exc:
         raise ConfigError(f"bad tolerance: {exc}") from exc

@@ -27,26 +27,6 @@ class EvaluationError(CasdriftError):
         self.xi = xi
 
 
-class OracleError(CasdriftError):
-    """The boundary-condition linear system could not be solved."""
-
-    def __init__(self, message, k=None, xi=None):
-        super().__init__(f"{message} [k={k!r} 1/cm, xi={xi!r} rad/s]")
-        self.k = k
-        self.xi = xi
-
-
-class IntegrationError(CasdriftError):
-    """Adaptive quadrature failed to converge.
-
-    ``achieved`` holds the best error estimate reached before giving up.
-    """
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
-
 class SummationError(CasdriftError):
     """Matsubara summation failed; carries the partial result and diagnostics."""
 

@@ -53,6 +53,7 @@ __all__ = [
     "free_energy_per_area",
     "pressure",
     "ratio_to_bare",
+    "energy_ratio",
     "pc_n0_ratio_asymptote",
     "ideal_metal_n0_tm_energy",
     "ideal_metal_n0_tm_pressure",
@@ -215,8 +216,7 @@ def _range_warnings(T: float) -> list:
 def _matsubara_sum(kind: str, geom: Geometry, T: float,
                    model: Optional[ReflectionModel],
                    tolerances: Optional[Tolerances],
-                   n0_model: Optional[ReflectionModel] = None,
-                   high_n_model: Optional[ReflectionModel] = None) -> SummationResult:
+                   n0_model: Optional[ReflectionModel] = None) -> SummationResult:
     if not math.isfinite(T) or T <= 0.0:
         raise DomainError(f"temperature must be finite and positive, got {T!r}")
     tol = tolerances if tolerances is not None else Tolerances()
@@ -232,19 +232,8 @@ def _matsubara_sum(kind: str, geom: Geometry, T: float,
             diagnostics={"T": T, "d": d, "n_cap": _N_CAP},
         )
 
-    pair1_main, pair2_main = _pair_fns(geom, T, model)
-    if n0_model is not None:
-        pair1_n0 = amplitude_fn(n0_model, geom.plate1.material, T)
-        pair2_n0 = pair1_n0 if geom.plate1 == geom.plate2 else amplitude_fn(
-            n0_model, geom.plate2.material, T)
-    else:
-        pair1_n0, pair2_n0 = pair1_main, pair2_main
-    if high_n_model is not None:
-        pair1_hi = amplitude_fn(high_n_model, geom.plate1.material, T)
-        pair2_hi = pair1_hi if geom.plate1 == geom.plate2 else amplitude_fn(
-            high_n_model, geom.plate2.material, T)
-    else:
-        pair1_hi, pair2_hi = pair1_main, pair2_main
+    pairs = _pair_fns(geom, T, model)
+    pairs_n0 = pairs if n0_model is None else _pair_fns(geom, T, n0_model)
 
     coef = phys.K_B * T / (8.0 * math.pi * d * d)
     if kind == "pressure":
@@ -260,7 +249,7 @@ def _matsubara_sum(kind: str, geom: Geometry, T: float,
     while True:
         xi_n = phys.matsubara_xi(n, T) if n > 0 else 0.0
         weight = 0.5 if n == 0 else 1.0
-        p1, p2 = (pair1_n0, pair2_n0) if n == 0 else (pair1_hi, pair2_hi)
+        p1, p2 = pairs_n0 if n == 0 else pairs
         (i_tm, i_te), abserr, notes = _term_integrals(
             kind, d, xi_n, p1, p2, tol.quad_rel)
         tm_part = weight * coef * i_tm
@@ -320,31 +309,28 @@ def _matsubara_sum(kind: str, geom: Geometry, T: float,
 def free_energy_per_area(geom: Geometry, T: float,
                          model: Optional[ReflectionModel] = None,
                          tolerances: Optional[Tolerances] = None,
-                         n0_model: Optional[ReflectionModel] = None,
-                         high_n_model: Optional[ReflectionModel] = None
+                         n0_model: Optional[ReflectionModel] = None
                          ) -> SummationResult:
     """Casimir-Lifshitz free energy per area [erg/cm^2] (negative, binding).
 
     ``model`` overrides the plates' bound models for this call; ``n0_model``
-    / ``high_n_model`` optionally replace the amplitudes used for the n = 0
-    term respectively the n >= 1 terms (used by the single-mode analysis
-    and the perfect-conductor reference curves).
+    optionally replaces the amplitudes used for the n = 0 term (used by the
+    single-mode analysis and the perfect-conductor reference curves).
     """
     return _matsubara_sum("energy", geom, T, model, tolerances,
-                          n0_model=n0_model, high_n_model=high_n_model)
+                          n0_model=n0_model)
 
 
 def pressure(geom: Geometry, T: float,
              model: Optional[ReflectionModel] = None,
              tolerances: Optional[Tolerances] = None,
-             n0_model: Optional[ReflectionModel] = None,
-             high_n_model: Optional[ReflectionModel] = None) -> SummationResult:
+             n0_model: Optional[ReflectionModel] = None) -> SummationResult:
     """Casimir-Lifshitz pressure [dyn/cm^2]; positive = attraction.
 
     Equals the d-derivative of the free energy per area.
     """
     return _matsubara_sum("pressure", geom, T, model, tolerances,
-                          n0_model=n0_model, high_n_model=high_n_model)
+                          n0_model=n0_model)
 
 
 def ratio_to_bare(geom: Geometry, T: float, model: ReflectionModel,
@@ -352,12 +338,17 @@ def ratio_to_bare(geom: Geometry, T: float, model: ReflectionModel,
     """E_model / E_bare with identical quadrature settings on both sides."""
     e_model = free_energy_per_area(geom, T, model=model, tolerances=tolerances)
     e_bare = free_energy_per_area(geom, T, model=Bare(), tolerances=tolerances)
-    if abs(e_bare.value) < 1.0e-30:
+    return energy_ratio(e_model.value, e_bare.value)
+
+
+def energy_ratio(e_model: float, e_bare: float) -> float:
+    """e_model / e_bare, refusing a bare energy below the floor 1e-30 erg/cm^2."""
+    if abs(e_bare) < 1.0e-30:
         raise NormalizationError(
-            f"|E_bare| = {abs(e_bare.value):.3e} erg/cm^2 below the "
+            f"|E_bare| = {abs(e_bare):.3e} erg/cm^2 below the "
             "normalization floor 1e-30"
         )
-    return e_model.value / e_bare.value
+    return e_model / e_bare
 
 
 def pc_n0_ratio_asymptote(geom: Geometry, T: float,
@@ -371,9 +362,7 @@ def pc_n0_ratio_asymptote(geom: Geometry, T: float,
     e_pc = free_energy_per_area(geom, T, model=Bare(), tolerances=tolerances,
                                 n0_model=IdealMetal())
     e_bare = free_energy_per_area(geom, T, model=Bare(), tolerances=tolerances)
-    if abs(e_bare.value) < 1.0e-30:
-        raise NormalizationError("|E_bare| below the normalization floor 1e-30")
-    return e_pc.value / e_bare.value
+    return energy_ratio(e_pc.value, e_bare.value)
 
 
 def ideal_metal_n0_tm_energy(d: float, T: float) -> float:

@@ -30,11 +30,6 @@ response ``chi = [k^2 + eps (xi/c)^2 (eta_L eta_T - k^2)/(eta_T^2 - k^2)] / eta_
 the TE amplitude is the ordinary Fresnel form ``(g0 - eta_T)/(g0 + eta_T)``.
 Static (xi = 0) values are never obtained by substituting xi = 0 into the
 xi-singular expressions; each model has an explicit analytic static branch.
-
-A numerical boundary-condition solver (:func:`r_oracle_bc`) re-derives the
-amplitudes by matching E_x, H_y and eps E_z (TM) respectively E_y, H_x (TE)
-across the interface, and serves as the independent oracle for the closed
-forms.
 """
 
 from __future__ import annotations
@@ -44,10 +39,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Union
 
-import mpmath as mp
-
 from . import phys
-from .errors import DomainError, EvaluationError, OracleError
+from .errors import DomainError
 from .materials import MaterialSpec, MaterialState, _material_state_cached
 
 __all__ = [
@@ -59,14 +52,10 @@ __all__ = [
     "Nonlocal",
     "IdealMetal",
     "ReflectionModel",
-    "eta_L",
-    "eta_T",
-    "chi",
     "drift_quantities",
     "r_tm",
     "r_te",
     "amplitude_fn",
-    "r_oracle_bc",
 ]
 
 _FOURPI = 4.0 * math.pi
@@ -150,13 +139,12 @@ ReflectionModel = Union[Bare, Conductivity, Drift, Nonlocal, IdealMetal]
 
 # --- drift-model building blocks --------------------------------------------
 
-def _defects(mode: Mode, state: MaterialState, eps_bar: float):
+def _defects(xi: float, state: MaterialState, eps_bar: float):
     """(w, X, Y): w = (xi/c)^2, X = eta_T^2 - k^2, Y = eta_L^2 - k^2.
 
     Computed directly from the material quantities so that downstream
     differences (eta^2 - k^2) carry no cancellation error.
     """
-    xi = mode.xi
     w = (xi / phys.C_LIGHT) ** 2
     one_xt = 1.0 + xi * state.tau
     X = eps_bar * w + _FOURPI * state.sigma0 * xi / (phys.C_LIGHT**2 * one_xt)
@@ -167,39 +155,15 @@ def _defects(mode: Mode, state: MaterialState, eps_bar: float):
     return w, X, Y
 
 
-def eta_L(mode: Mode, state: MaterialState, eps_bar: float) -> float:
-    """Longitudinal decay wavevector [1/cm].
-
-    sqrt(k^2 + 4 pi e^2 n0/(eps kB T) + xi (1 + xi tau)/(v_T^2 tau)); at
-    xi = 0 this is sqrt(k^2 + kappa^2) when eps_bar is the static value.
-    """
-    _, _, Y = _defects(mode, state, eps_bar)
-    return math.sqrt(mode.k**2 + Y)
-
-
-def eta_T(mode: Mode, state: MaterialState, eps_bar: float) -> float:
-    """Transverse decay wavevector [1/cm]; tends to k as xi -> 0."""
-    _, X, _ = _defects(mode, state, eps_bar)
-    return math.sqrt(mode.k**2 + X)
-
-
-def chi(mode: Mode, etaL: float, etaT: float, eps_bar: float) -> float:
-    """TM surface response chi [1/cm] (textbook form).
-
-    (1/eta_L) [k^2 + eps (xi/c)^2 (eta_L eta_T - k^2)/(eta_T^2 - k^2)].
-    The denominator eta_T^2 - k^2 vanishes only at xi = 0 (use the static
-    branch there) or for unphysical eps < 1.
-    """
-    k2 = mode.k**2
-    den = etaT * etaT - k2
-    if den <= 0.0:
-        raise EvaluationError(
-            "degenerate eta_T^2 - k^2 <= 0 in chi; physical media with "
-            "eps >= 1 and xi > 0 cannot reach this",
-            k=mode.k, xi=mode.xi,
-        )
-    w = (mode.xi / phys.C_LIGHT) ** 2
-    return (k2 + eps_bar * w * (etaL * etaT - k2) / den) / etaL
+def _drift_parts(xi: float, k: float, state: MaterialState, eps_bar: float):
+    """(w, X, eta_L, eta_T, chi) at xi > 0; see :func:`drift_quantities`."""
+    k2 = k * k
+    w, X, Y = _defects(xi, state, eps_bar)
+    etaL_v = math.sqrt(k2 + Y)
+    etaT_v = math.sqrt(k2 + X)
+    cross = (k2 * (X + Y) + X * Y) / (etaL_v * etaT_v + k2)  # eta_L eta_T - k^2
+    chi_v = (k2 + eps_bar * w * cross / X) / etaL_v
+    return w, X, etaL_v, etaT_v, chi_v
 
 
 def drift_quantities(mode: Mode, state: MaterialState, eps_bar: float) -> DriftQuantities:
@@ -213,14 +177,11 @@ def drift_quantities(mode: Mode, state: MaterialState, eps_bar: float) -> DriftQ
     chi = k^2/eta_L) are returned directly.
     """
     k = mode.k
-    k2 = k * k
-    w, X, Y = _defects(mode, state, eps_bar)
-    etaL_v = math.sqrt(k2 + Y)
     if mode.xi == 0.0:
-        return DriftQuantities(eta_L=etaL_v, eta_T=k, chi=k2 / etaL_v)
-    etaT_v = math.sqrt(k2 + X)
-    cross = (k2 * (X + Y) + X * Y) / (etaL_v * etaT_v + k2)  # eta_L eta_T - k^2
-    chi_v = (k2 + eps_bar * w * cross / X) / etaL_v
+        _, _, Y = _defects(0.0, state, eps_bar)
+        etaL_v = math.sqrt(k * k + Y)
+        return DriftQuantities(eta_L=etaL_v, eta_T=k, chi=k * k / etaL_v)
+    _, _, etaL_v, etaT_v, chi_v = _drift_parts(mode.xi, k, state, eps_bar)
     return DriftQuantities(eta_L=etaL_v, eta_T=etaT_v, chi=chi_v)
 
 
@@ -295,14 +256,12 @@ def amplitude_fn(model: ReflectionModel, spec: MaterialSpec, T: float) -> Callab
             if xi == 0.0:
                 return _drift_static_tm(k, eps0, state.kappa), 0.0
             eps = perm.at(xi)
-            mode = Mode(xi=xi, k=k)
-            dq = drift_quantities(mode, state, eps)
-            g = mode.gamma0
-            r_tm_v = (eps * g - dq.chi) / (eps * g + dq.chi)
+            w, X, _, etaT_v, chi_v = _drift_parts(xi, k, state, eps)
+            g = math.hypot(k, xi / phys.C_LIGHT)
+            r_tm_v = (eps * g - chi_v) / (eps * g + chi_v)
             # TE via the defect form: w - X has no cancellation, unlike
             # gamma0 - eta_T when both tend to k.
-            w, X, _ = _defects(mode, state, eps)
-            r_te_v = (w - X) / ((g + dq.eta_T) ** 2)
+            r_te_v = (w - X) / ((g + etaT_v) ** 2)
             return r_tm_v, r_te_v
         return pair_drift
 
@@ -315,8 +274,7 @@ def amplitude_fn(model: ReflectionModel, spec: MaterialSpec, T: float) -> Callab
         def pair_nonlocal(xi: float, k: float):
             if xi == 0.0:
                 return _drift_static_tm(k, eps0, state.kappa), 0.0
-            mode = Mode(xi=xi, k=k)
-            hf = spatial.h_integrals(tensor, mode, method="closed")
+            hf = spatial.h_integrals(tensor, Mode(xi=xi, k=k))
             return (spatial.r_from_H_tilde(hf.H_tm_tilde),
                     spatial.r_from_H_tilde(hf.H_te_tilde))
         return pair_nonlocal
@@ -336,95 +294,3 @@ def r_te(model: ReflectionModel, mode: Mode, spec: MaterialSpec, T: float) -> fl
     field is purely magnetic and fully penetrates a nonmagnetic medium.
     """
     return amplitude_fn(model, spec, T)(mode.xi, mode.k)[1]
-
-
-# --- boundary-condition oracle ------------------------------------------------
-
-def r_oracle_bc(mode: Mode, etaL, etaT, eps_bar, full: bool = False):
-    """Reflection amplitudes from direct numerical boundary matching.
-
-    TM: the reflected field has two Cartesian amplitudes (r_x, r_z) tied by
-    the vacuum divergence constraint, and the transmitted field has the two
-    branch amplitudes (A_T, A_L); continuity of E_x, H_y and eps E_z closes
-    a 4x4 linear system.  TE: unknowns (r, B, A_long) where A_long is the
-    longitudinal-branch amplitude of the in-plane field component; the
-    gradient source term has no y-projection, so A_long cannot feed the TE
-    far field, and continuity of E_x pins it to zero -- the solve makes that
-    explicit rather than assuming it.
-
-    The solves run in 40-digit arithmetic (the TE amplitude can sit nine
-    decades below gamma0 - eta_T's operands, so an oracle certifying 1e-9
-    relative agreement must carry far more precision than the target).
-    Inputs may be floats or mpmath values; high-precision eta inputs give
-    oracle output limited only by the inputs themselves.
-
-    Returns (r_tm, r_te); with ``full=True`` also a dict of the solved
-    medium amplitudes for inspection.
-    """
-    if mode.xi <= 0.0:
-        raise DomainError("boundary-condition oracle requires xi > 0")
-    with mp.workdps(40):
-        k = mp.mpf(mode.k)
-        xi = mp.mpf(mode.xi)
-        c = mp.mpf(phys.C_LIGHT)
-        g = mp.sqrt(k * k + (xi / c) ** 2)
-        etaL_m = mp.mpf(etaL)
-        etaT_m = mp.mpf(etaT)
-        eps_m = mp.mpf(eps_bar)
-
-        # TM system; unknowns (r_x, r_z, A_T, A_L), incident field
-        # normalized to unit z-amplitude
-        M = mp.zeros(4, 4)
-        b = mp.zeros(4, 1)
-        # vacuum divergence of the reflected field
-        M[0, 0] = k
-        M[0, 1] = g
-        # E_x continuity: g/k + r_x = A_T + A_L
-        M[1, 0] = mp.mpf(1)
-        M[1, 2] = mp.mpf(-1)
-        M[1, 3] = mp.mpf(-1)
-        b[1] = -g / k
-        # eps E_z continuity: 1 + r_z = eps (k A_T/eta_T + eta_L A_L/k)
-        M[2, 1] = mp.mpf(1)
-        M[2, 2] = -eps_m * k / etaT_m
-        M[2, 3] = -eps_m * etaL_m / k
-        b[2] = mp.mpf(-1)
-        # H_y continuity:
-        # -xi/(ck) + (c/xi)(g r_x + k r_z) = -(c/xi)(etaT^2 - k^2) A_T/etaT
-        M[3, 0] = (c / xi) * g
-        M[3, 1] = (c / xi) * k
-        M[3, 2] = (c / xi) * (etaT_m * etaT_m - k * k) / etaT_m
-        b[3] = xi / (c * k)
-        try:
-            sol = mp.lu_solve(M, b)
-        except (ZeroDivisionError, ValueError) as exc:
-            raise OracleError(f"singular TM boundary system: {exc}",
-                              k=mode.k, xi=mode.xi) from exc
-        r_x, r_z, A_T, A_L = (sol[i] for i in range(4))
-
-        # TE system; unknowns (r, B, A_long)
-        N = mp.zeros(3, 3)
-        d = mp.zeros(3, 1)
-        # E_y continuity: 1 + r = B (no y-projection of the gradient term)
-        N[0, 0] = mp.mpf(1)
-        N[0, 1] = mp.mpf(-1)
-        d[0] = mp.mpf(-1)
-        # H_x continuity: g (1 - r) = etaT B
-        N[1, 0] = g
-        N[1, 1] = etaT_m
-        d[1] = g
-        # E_x continuity: vacuum TE has no x-component
-        N[2, 2] = mp.mpf(1)
-        try:
-            te_sol = mp.lu_solve(N, d)
-        except (ZeroDivisionError, ValueError) as exc:
-            raise OracleError(f"singular TE boundary system: {exc}",
-                              k=mode.k, xi=mode.xi) from exc
-        r_te_v, B, A_long = (te_sol[i] for i in range(3))
-
-        if full:
-            return float(r_z), float(r_te_v), {
-                "r_x": float(r_x), "A_T": float(A_T), "A_L": float(A_L),
-                "B": float(B), "A_long": float(A_long),
-            }
-        return float(r_z), float(r_te_v)

@@ -30,36 +30,28 @@ amplitudes identically: H_te = gamma0/eta_T and H_tm = eps gamma0 / chi
 (exact algebraic identities, verified to machine precision by the test
 suite and the ``nonlocal-verify`` command).
 
-Each integral has a closed form when the tensor components do not depend on
-q_z; a generic adaptive-quadrature path (tan-substitution onto a finite
-interval) covers genuinely q_z-dependent components and doubles as the
-independent oracle for the closed forms.
+h_b and h_c have closed forms because eps_perp does not depend on q_z; h_a
+has one by partial fractions of the Lorentzian-in-q^2 eps_par.  The test
+suite checks all three against adaptive q_z quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
-
-from scipy.integrate import quad
 
 from . import phys
-from .errors import DomainError, EvaluationError, IntegrationError
+from .errors import DomainError, EvaluationError
 from .materials import MaterialSpec, MaterialState, bare_eps, _material_state_cached
-from .reflection import Drift, Mode, amplitude_fn
+from .reflection import Drift, Mode, Nonlocal, amplitude_fn
 
 __all__ = [
-    "PermittivityTensor",
+    "DriftTensor",
     "HFunctions",
-    "unit_tensor",
     "eps_perp_drift",
     "eps_par_drift",
     "make_drift_tensor",
     "h_integrals",
-    "H_tm",
-    "H_te",
-    "r_from_H",
     "r_from_H_tilde",
     "verify_equivalence",
 ]
@@ -67,30 +59,10 @@ __all__ = [
 _FOURPI = 4.0 * math.pi
 
 # Below xi/(c k) ~ 1e-8 the frequency and wavevector scales in the h_c
-# integrand are separated by >= 16 decades and the quadrature oracle loses
+# integrand are separated by >= 16 decades and a q_z quadrature loses
 # all relative accuracy; the closed forms stay regular, but standalone
 # h-evaluation refuses rather than return unverifiable numbers.
 _XI_OVER_CK_MIN = 1.0e-8
-
-
-@dataclass(frozen=True)
-class PermittivityTensor:
-    """Uniaxial permittivity tensor diag(eps_perp, eps_perp, eps_par).
-
-    ``eps_perp(q, xi)`` and ``eps_par(q, xi)`` take the wavevector magnitude
-    [1/cm] and imaginary frequency [rad/s]; in-plane evaluation passes
-    q = k.  ``qz_dependent`` declares whether the components genuinely vary
-    with q_z (through q^2 = k^2 + q_z^2); closed-form integration of a
-    q_z-dependent component requires a tensor-supplied exact expression
-    (``h_a_closed``), otherwise only the quadrature path is available.
-    The component callables must be pure (safe for concurrent workers).
-    """
-
-    eps_perp: Callable[[float, float], float]
-    eps_par: Callable[[float, float], float]
-    qz_dependent: bool = False
-    h_a_closed: Optional[Callable[[Mode], float]] = None
-    label: str = "custom"
 
 
 @dataclass(frozen=True)
@@ -114,16 +86,6 @@ class HFunctions:
     H_tm_tilde: float
     H_te_tilde: float
     gamma0: float
-
-
-def unit_tensor() -> PermittivityTensor:
-    """Vacuum tensor (eps == 1): all tilded integrals vanish, H = 1, r = 0."""
-    return PermittivityTensor(
-        eps_perp=lambda q, xi: 1.0,
-        eps_par=lambda q, xi: 1.0,
-        qz_dependent=False,
-        label="vacuum",
-    )
 
 
 # --- drift-model tensor components -------------------------------------------
@@ -163,69 +125,52 @@ def eps_par_drift(k: float, xi: float, state: MaterialState, eps_bar: float) -> 
     )
 
 
-def make_drift_tensor(spec: MaterialSpec, T: float) -> PermittivityTensor:
-    """Drift-model permittivity tensor for one material at temperature T.
+@dataclass(frozen=True)
+class DriftTensor:
+    """Drift permittivity tensor diag(eps_perp, eps_perp, eps_par) at one T.
 
-    eps_par varies with q (Debye screening), so the tensor is flagged
-    q_z-dependent and carries the exact closed form of its longitudinal
-    integral:
-
-        h_a = (a0 + kq^2 k/eta_L) / (eps (a0 + kq^2)),
-        a0 = xi(1+xi tau)/D,  kq^2 = 4 pi e^2 n0/(eps kB T),
-        eta_L = sqrt(k^2 + kq^2 + a0),
-
-    obtained by partial fractions of the Lorentzian-in-q^2 component.
+    ``eps_perp(q, xi)`` and ``eps_par(q, xi)`` take the wavevector magnitude
+    [1/cm] and imaginary frequency [rad/s]; in-plane evaluation passes
+    q = k.  eps_par varies with q (Debye screening); ``h_a`` is the exact
+    closed form of its longitudinal integral.
     """
-    state = _material_state_cached(spec, T)
 
-    def eps_perp(q: float, xi: float) -> float:
-        return eps_perp_drift(q, xi, state, bare_eps(spec, xi))
+    spec: MaterialSpec
+    state: MaterialState
 
-    def eps_par(q: float, xi: float) -> float:
-        return eps_par_drift(q, xi, state, bare_eps(spec, xi))
+    def eps_perp(self, q: float, xi: float) -> float:
+        return eps_perp_drift(q, xi, self.state, bare_eps(self.spec, xi))
 
-    def h_a_closed(mode: Mode) -> float:
-        eps = bare_eps(spec, mode.xi)
+    def eps_par(self, q: float, xi: float) -> float:
+        return eps_par_drift(q, xi, self.state, bare_eps(self.spec, xi))
+
+    def h_a(self, mode: Mode) -> float:
+        """h_a = (a0 + kq^2 k/eta_L) / (eps (a0 + kq^2)).
+
+        a0 = xi(1+xi tau)/D, kq^2 = 4 pi e^2 n0/(eps kB T) and
+        eta_L = sqrt(k^2 + kq^2 + a0), by partial fractions of the
+        Lorentzian-in-q^2 component.
+        """
+        state = self.state
+        eps = bare_eps(self.spec, mode.xi)
         a0 = mode.xi * (1.0 + mode.xi * state.tau) / state.D
         kq2 = _FOURPI * phys.E_CHARGE**2 * state.n0 / (eps * phys.K_B * state.T)
         eta_l = math.sqrt(mode.k**2 + kq2 + a0)
         return (a0 + kq2 * mode.k / eta_l) / (eps * (a0 + kq2))
 
-    return PermittivityTensor(
-        eps_perp=eps_perp,
-        eps_par=eps_par,
-        qz_dependent=True,
-        h_a_closed=h_a_closed,
-        label=f"drift:{spec.name}@{T}K",
-    )
+
+def make_drift_tensor(spec: MaterialSpec, T: float) -> DriftTensor:
+    """Drift-model permittivity tensor for one material at temperature T."""
+    return DriftTensor(spec=spec, state=_material_state_cached(spec, T))
 
 
 # --- the three q_z integrals ---------------------------------------------------
 
-def _quad_semi_infinite(f: Callable[[float], float], scale: float) -> tuple:
-    """Integrate f over [0, inf) via q_z = scale * tan(t) with adaptive GK.
+def h_integrals(tensor: DriftTensor, mode: Mode) -> HFunctions:
+    """Evaluate h_a, h_b, h_c in closed form and assemble H_tm, H_te.
 
-    Returns (value, abserr).  ``scale`` should be a characteristic width of
-    the integrand so the substitution spends points where f lives.
-    """
-    def g(t: float) -> float:
-        ct = math.cos(t)
-        qz = scale * math.tan(t)
-        return f(qz) * scale / (ct * ct)
-
-    val, err = quad(g, 0.0, 0.5 * math.pi, epsabs=1e-300, epsrel=1e-11, limit=400)
-    return val, err
-
-
-def h_integrals(tensor: PermittivityTensor, mode: Mode,
-                method: str = "closed") -> HFunctions:
-    """Evaluate h_a, h_b, h_c and assemble H_tm, H_te at one mode.
-
-    ``method="closed"`` uses the analytic forms (requires q_z-independent
-    components, or a tensor-supplied exact h_a for the drift case);
-    ``method="quadrature"`` integrates over q_z and is the generic path /
-    test oracle.  Tilded combinations subtract the eps == 1 evaluation,
-    which equals 1 for all three integrals.
+    Tilded combinations subtract the eps == 1 evaluation, which equals 1
+    for all three integrals.
     """
     if mode.xi <= 0.0:
         raise DomainError("h-integrals are defined for xi > 0")
@@ -241,75 +186,18 @@ def h_integrals(tensor: PermittivityTensor, mode: Mode,
     g = mode.gamma0
     w = (xi / phys.C_LIGHT) ** 2
 
-    ep = tensor.eps_perp(k, xi)   # transverse component, local in q by contract
-    if method == "closed":
-        if tensor.qz_dependent and tensor.h_a_closed is None:
-            raise DomainError(
-                "closed-form h-integrals need q_z-independent tensor "
-                "components (or a tensor-supplied exact h_a)"
-            )
-        eta_t = math.sqrt(k * k + ep * w)
-        if tensor.h_a_closed is not None:
-            h_a = tensor.h_a_closed(mode)
-        else:
-            h_a = 1.0 / tensor.eps_par(k, xi)
-        ht_a = h_a - 1.0
-        # gamma0^2 - eta_T^2 = (1 - eps_perp) w: differences of near-equal
-        # wavevectors are formed from the permittivity defect, never by
-        # subtracting the roots.
-        dw = (1.0 - ep) * w
-        ht_b = dw / (eta_t * (g + eta_t))
-        ht_c = dw * (g + eta_t + k) / ((g + eta_t) * eta_t * (eta_t + k))
-        h_b = 1.0 + ht_b
-        h_c = 1.0 + ht_c
-    elif method == "quadrature":
-        k2 = k * k
-
-        def eps_par_q(q2: float) -> float:
-            return tensor.eps_par(math.sqrt(q2), xi)
-
-        def eps_perp_q(q2: float) -> float:
-            return tensor.eps_perp(math.sqrt(q2), xi)
-
-        # tilded integrands: the eps == 1 evaluation is subtracted inside
-        # the integral, so small differences come out at full precision
-        def f_a(qz: float) -> float:
-            q2 = k2 + qz * qz
-            e = eps_par_q(q2)
-            return (1.0 - e) / (q2 * e)
-
-        def f_b(qz: float) -> float:
-            q2 = k2 + qz * qz
-            e = eps_perp_q(q2)
-            return (1.0 - e) * w / ((q2 + e * w) * (q2 + w))
-
-        def f_c(qz: float) -> float:
-            q2 = k2 + qz * qz
-            e = eps_perp_q(q2)
-            return (1.0 - e) * w / (q2 * (q2 + e * w) * (q2 + w))
-
-        eta_t = math.sqrt(k2 + ep * w)
-        scale = max(k, eta_t)
-        tildes = []
-        for f, pref in (
-            (f_a, 2.0 * k / math.pi),
-            (f_b, 2.0 * g / math.pi),
-            # 2 (omega/c)^2 k g0/(k - g0) = 2 k g0 (g0 + k) on the imaginary
-            # axis: the apparent k - g0 singularity cancels against w.
-            (f_c, 2.0 * k * g * (g + k) / math.pi),
-        ):
-            val, err = _quad_semi_infinite(f, scale)
-            if not math.isfinite(val) or err > 1e-6 * max(abs(val), 1e-3):
-                raise IntegrationError(
-                    f"q_z quadrature did not converge for {tensor.label!r} "
-                    f"at k={k:.3e}, xi={xi:.3e}",
-                    achieved=err,
-                )
-            tildes.append(pref * val)
-        ht_a, ht_b, ht_c = tildes
-        h_a, h_b, h_c = 1.0 + ht_a, 1.0 + ht_b, 1.0 + ht_c
-    else:
-        raise DomainError(f"unknown h-integration method {method!r}")
+    ep = tensor.eps_perp(k, xi)   # transverse component, local in q
+    eta_t = math.sqrt(k * k + ep * w)
+    h_a = tensor.h_a(mode)
+    ht_a = h_a - 1.0
+    # gamma0^2 - eta_T^2 = (1 - eps_perp) w: differences of near-equal
+    # wavevectors are formed from the permittivity defect, never by
+    # subtracting the roots.
+    dw = (1.0 - ep) * w
+    ht_b = dw / (eta_t * (g + eta_t))
+    ht_c = dw * (g + eta_t + k) / ((g + eta_t) * eta_t * (eta_t + k))
+    h_b = 1.0 + ht_b
+    h_c = 1.0 + ht_c
 
     Ht_tm = _assemble_H_tm_tilde(ht_a, ht_b, ht_c, k, g, w, xi)
     return HFunctions(
@@ -339,29 +227,6 @@ def _assemble_H_tm_tilde(ht_a, ht_b, ht_c, k, g, w, xi):
     return -den_tilde / den
 
 
-def H_tm(hf: HFunctions, mode: Mode) -> float:
-    """TM surface-response function from the h-integrals.
-
-    For the drift tensor this equals eps(i xi) gamma0 / chi, so
-    (H_tm - 1)/(H_tm + 1) is the transport-theory TM amplitude.
-    """
-    w = (mode.xi / phys.C_LIGHT) ** 2
-    return 1.0 + _assemble_H_tm_tilde(
-        hf.h_tilde_a, hf.h_tilde_b, hf.h_tilde_c, mode.k, hf.gamma0, w, mode.xi)
-
-
-def H_te(hf: HFunctions, mode: Mode) -> float:
-    """TE surface-response function h~_b + 1 (= gamma0/eta_T for drift)."""
-    return hf.h_b
-
-
-def r_from_H(H: float) -> float:
-    """Reflection amplitude (H - 1)/(H + 1); H = -1 is a pole."""
-    if H == -1.0:
-        raise EvaluationError("H = -1: reflection amplitude has a pole here")
-    return (H - 1.0) / (H + 1.0)
-
-
 def r_from_H_tilde(H_tilde: float) -> float:
     """(H - 1)/(H + 1) evaluated from H - 1: exact for near-unity H."""
     if H_tilde == -2.0:
@@ -375,7 +240,7 @@ def verify_equivalence(spec: MaterialSpec, T: float,
                        n_k: int = 20, n_xi: int = 20,
                        k_range: tuple = (1.0e2, 1.0e6),
                        xi1_factors: tuple = (1.0e-3, 1.0e3)):
-    """Compare drift amplitudes against the tensor route on a log-spaced grid.
+    """Compare the Drift and Nonlocal amplitudes on a log-spaced grid.
 
     Returns (rows, max_rel_diff) where each row is
     (polarization, k, xi, r_drift, r_nonlocal, rel_diff).  The grid spans
@@ -384,7 +249,7 @@ def verify_equivalence(spec: MaterialSpec, T: float,
     """
     xi1 = phys.matsubara_xi(1, T)
     pair_drift = amplitude_fn(Drift(), spec, T)
-    tensor = make_drift_tensor(spec, T)
+    pair_nonlocal = amplitude_fn(Nonlocal(), spec, T)
 
     def logspace(lo, hi, n):
         if n == 1:
@@ -396,13 +261,8 @@ def verify_equivalence(spec: MaterialSpec, T: float,
     max_rel = 0.0
     for k in logspace(k_range[0], k_range[1], n_k):
         for xi in logspace(xi1_factors[0] * xi1, xi1_factors[1] * xi1, n_xi):
-            mode = Mode(xi=xi, k=k)
-            hf = h_integrals(tensor, mode, method="closed")
-            r_tm_d, r_te_d = pair_drift(xi, k)
-            for pol, r_d, r_n in (
-                ("TM", r_tm_d, r_from_H_tilde(hf.H_tm_tilde)),
-                ("TE", r_te_d, r_from_H_tilde(hf.H_te_tilde)),
-            ):
+            for pol, r_d, r_n in zip(("TM", "TE"), pair_drift(xi, k),
+                                     pair_nonlocal(xi, k)):
                 rel = abs(r_n - r_d) / max(abs(r_d), 1.0e-30)
                 max_rel = max(max_rel, rel)
                 rows.append((pol, k, xi, r_d, r_n, rel))

@@ -42,13 +42,13 @@ from casdrift.reflection import (
     Mode,
     amplitude_fn,
     drift_quantities,
-    r_oracle_bc,
     r_te,
 )
 from casdrift.spatial import h_integrals, make_drift_tensor, verify_equivalence
 from casdrift.thermo import g_probe, nernst_sweep
 
 from conftest import logspace, neville_to_zero, rel
+from oracles import h_integrals_quadrature, r_oracle_bc
 
 XI1_300 = phys.matsubara_xi(1, 300.0)
 UM = phys.CM_PER_UM
@@ -158,8 +158,8 @@ def test_criterion_06_nonlocal_equivalence():
     worst_h = 0.0
     for k in (1e3, 3e4, 1e6):
         for xi in (0.03 * XI1_300, XI1_300, 40 * XI1_300):
-            a = h_integrals(tensor, Mode(xi=xi, k=k), method="closed")
-            b = h_integrals(tensor, Mode(xi=xi, k=k), method="quadrature")
+            a = h_integrals(tensor, Mode(xi=xi, k=k))
+            b = h_integrals_quadrature(tensor, Mode(xi=xi, k=k))
             worst_h = max(worst_h, rel(b.h_a, a.h_a), rel(b.h_b, a.h_b),
                           rel(b.h_c, a.h_c))
     ok = max_rel <= 1e-8 and worst_h <= 1e-8
@@ -268,8 +268,8 @@ def test_criterion_09_single_mode_claim():
         for d_um in (0.5, 1.0, 3.0, 10.0):
             geom = Geometry.identical(d_um * UM, spec)
             full = free_energy_per_area(geom, 300.0, model=Drift()).value
-            hybrid = free_energy_per_area(geom, 300.0, model=Drift(),
-                                          high_n_model=Bare()).value
+            hybrid = free_energy_per_area(geom, 300.0, model=Bare(),
+                                          n0_model=Drift()).value
             worst = max(worst, abs(hybrid - full) / abs(full))
     ok = worst < 1e-3
     report("9 (only n=0 TM modified)", ok, f"worst rel change {worst:.2e}")

@@ -205,3 +205,67 @@ def test_entropy_cli(capsys):
     _, header, rows, _ = parse_csv(out)
     assert header == ["d_um", "T_K", "S_erg_cm2K", "error_est"]
     assert float(rows[0][2]) > 0.0
+
+
+def test_entropy_applies_and_records_tolerances(capsys):
+    argv = ("entropy", "--material", "Ge", "--model", "drift", "--T", "300", "--d", "1")
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    meta, _, rows, _ = parse_csv(out)
+    # entropy runs default to the tighter entropy tolerances
+    assert (meta["tol_quad"], meta["tol_sum"]) == ("1e-10", "1e-12")
+    rc, out, _ = run_cli(capsys, *argv, "--tol-quad", "1e-6", "--tol-sum", "1e-6")
+    assert rc == 0
+    meta_loose, _, rows_loose, _ = parse_csv(out)
+    assert (meta_loose["tol_quad"], meta_loose["tol_sum"]) == ("1e-06", "1e-06")
+    assert rows_loose[0][2] != rows[0][2]
+
+
+def test_failed_nernst_trend_exits_4(tmp_path, capsys, monkeypatch):
+    from casdrift import cli
+    from casdrift.thermo import EntropyPoint, NernstReport
+
+    points = tuple(EntropyPoint(T=t, S=1e-10, fd_step=1.0, richardson_error=0.0)
+                   for t in (20.0, 10.0))
+    monkeypatch.setattr(cli, "nernst_sweep", lambda *a, **kw: NernstReport(
+        points=points, monotone_abs_decreasing=False, s_ratio_low_to_high=1.0))
+    out = tmp_path / "n.csv"
+    rc, _, _ = run_cli(capsys, "nernst", "--material", "Ge", "--T-list", "20,10",
+                       "--out", str(out))
+    assert rc == 4
+    _, _, rows, trailing = parse_csv(out.read_text())
+    assert len(rows) == 2
+    assert any("nernst_trend = FAIL" in t for t in trailing)
+
+
+def test_failed_equivalence_exits_4(tmp_path, capsys, monkeypatch):
+    from casdrift import cli
+
+    monkeypatch.setattr(cli, "verify_equivalence", lambda *a, **kw: (
+        [("TM", 1e3, 1e12, 0.5, 0.6, 0.2)], 0.2))
+    out = tmp_path / "v.csv"
+    rc, _, _ = run_cli(capsys, "nonlocal-verify", "--material", "Ge", "--out", str(out))
+    assert rc == 4
+    _, _, rows, trailing = parse_csv(out.read_text())
+    assert len(rows) == 1
+    assert any("equivalence = FAIL" in t for t in trailing)
+
+
+def test_malformed_fd_step_exits_2(capsys):
+    rc, _, err = run_cli(capsys, "entropy", "--material", "Ge", "--fd-step", "abc")
+    assert rc == 2
+    assert "--fd-step" in err
+
+
+def test_malformed_grid_count_exits_2(capsys):
+    rc, _, err = run_cli(capsys, "nonlocal-verify", "--material", "Ge", "--nk", "x")
+    assert rc == 2
+    assert "--nk" in err
+
+
+def test_empty_grid_exits_2(capsys):
+    rc, out, err = run_cli(capsys, "nonlocal-verify", "--material", "Ge",
+                           "--nk", "4", "--nxi", "0")
+    assert rc == 2
+    assert "--nxi" in err
+    assert "equivalence" not in out

@@ -256,8 +256,8 @@ class TestSingleModeClaim:
             for d in (0.5e-4, 1e-4, 10e-4):
                 geom = Geometry.identical(d, spec)
                 full = free_energy_per_area(geom, 300.0, model=Drift())
-                hybrid = free_energy_per_area(geom, 300.0, model=Drift(),
-                                              high_n_model=Bare())
+                hybrid = free_energy_per_area(geom, 300.0, model=Bare(),
+                                              n0_model=Drift())
                 assert abs(hybrid.value - full.value) < 1e-3 * abs(full.value)
 
     def test_drift_and_cond_differ_mostly_in_n0(self):

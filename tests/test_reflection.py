@@ -16,17 +16,14 @@ from casdrift.reflection import (
     Mode,
     Nonlocal,
     amplitude_fn,
-    chi,
     drift_quantities,
-    eta_L,
-    eta_T,
-    r_oracle_bc,
     r_te,
     r_tm,
     _fresnel_pair,
 )
 
 from conftest import assert_close, logspace, neville_to_zero
+from oracles import chi, r_oracle_bc
 
 XI1 = phys.matsubara_xi(1, 300.0)
 ALL_MODELS = [Bare(), Conductivity(sigma0=2.09e10), Drift(), Nonlocal()]
@@ -91,14 +88,14 @@ class TestDriftQuantities:
         st_ = material_state(spec, 300.0)
         m = Mode(xi=XI1, k=1e4)
         expect = math.sqrt(1e8 + XI1 * (1 + XI1 * st_.tau) / (st_.v_T**2 * st_.tau))
-        assert_close(eta_L(m, st_, bare_eps(spec, XI1)), expect, 1e-12)
+        assert_close(drift_quantities(m, st_, bare_eps(spec, XI1)).eta_L, expect, 1e-12)
 
     def test_eta_t_reduces_to_bare_without_conductivity(self):
         spec = zero_carrier(GE)
         st_ = material_state(spec, 300.0)
         eps = bare_eps(spec, XI1)
         m = Mode(xi=XI1, k=1e4)
-        assert_close(eta_T(m, st_, eps),
+        assert_close(drift_quantities(m, st_, eps).eta_T,
                      math.sqrt(1e8 + eps * (XI1 / phys.C_LIGHT)**2), 1e-13)
 
     def test_eta_t_limit_is_k_as_xi_vanishes(self):
@@ -106,7 +103,8 @@ class TestDriftQuantities:
         for m_exp in (6, 8, 10):
             xi = XI1 * 10.0**-m_exp
             m = Mode(xi=xi, k=1e4)
-            assert eta_T(m, st_, bare_eps(GE, xi)) == pytest.approx(1e4, rel=1e-6)
+            assert drift_quantities(m, st_, bare_eps(GE, xi)).eta_T == pytest.approx(
+                1e4, rel=1e-6)
 
     def test_chi_equals_eta_t_without_carriers(self):
         # sigma0 = 0 makes the bracket collapse: chi == eta_T identically

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from casdrift import phys
@@ -7,20 +5,16 @@ from casdrift.errors import DomainError, EvaluationError
 from casdrift.materials import GE, SI, bare_eps, material_state, zero_carrier
 from casdrift.reflection import Drift, Mode, amplitude_fn, drift_quantities
 from casdrift.spatial import (
-    PermittivityTensor,
-    H_te,
-    H_tm,
     eps_par_drift,
     eps_perp_drift,
     h_integrals,
     make_drift_tensor,
-    r_from_H,
     r_from_H_tilde,
-    unit_tensor,
     verify_equivalence,
 )
 
 from conftest import assert_close, logspace
+from oracles import ConstantTensor, h_integrals_quadrature, r_from_H, unit_tensor
 
 XI1 = phys.matsubara_xi(1, 300.0)
 GE_STATE = material_state(GE, 300.0)
@@ -93,24 +87,19 @@ class TestDriftTensorComponents:
 
 class TestHIntegrals:
     def test_unit_tensor_gives_unit_H_and_zero_r(self):
-        hf = h_integrals(unit_tensor(), Mode(xi=XI1, k=1e4), method="closed")
+        hf = h_integrals(unit_tensor(), Mode(xi=XI1, k=1e4))
         assert hf.h_tilde_a == hf.h_tilde_b == hf.h_tilde_c == 0.0
         assert hf.H_tm == 1.0 and hf.H_te == 1.0
         assert r_from_H(hf.H_tm) == 0.0
         assert r_from_H_tilde(hf.H_te_tilde) == 0.0
 
     def test_quadrature_matches_closed_qz_independent(self):
-        # constant uniaxial tensor: the generic closed forms apply directly
-        tensor = PermittivityTensor(
-            eps_perp=lambda q, xi: 9.5,
-            eps_par=lambda q, xi: 4.0,
-            qz_dependent=False,
-            label="const",
-        )
+        # constant uniaxial tensor: h_a = 1/eps_par exactly
+        tensor = ConstantTensor(perp=9.5, par=4.0)
         for k in (1e3, 3e4, 1e6):
             for xi in (0.03 * XI1, XI1, 40 * XI1):
-                a = h_integrals(tensor, Mode(xi=xi, k=k), method="closed")
-                b = h_integrals(tensor, Mode(xi=xi, k=k), method="quadrature")
+                a = h_integrals(tensor, Mode(xi=xi, k=k))
+                b = h_integrals_quadrature(tensor, Mode(xi=xi, k=k))
                 assert_close(b.h_a, a.h_a, 1e-8)
                 assert_close(b.h_b, a.h_b, 1e-8)
                 assert_close(b.h_c, a.h_c, 1e-8)
@@ -121,8 +110,8 @@ class TestHIntegrals:
         tensor = make_drift_tensor(GE, 300.0)
         for k in (1e3, 3e4, 1e6):
             for xi in (0.03 * XI1, XI1, 40 * XI1):
-                a = h_integrals(tensor, Mode(xi=xi, k=k), method="closed")
-                b = h_integrals(tensor, Mode(xi=xi, k=k), method="quadrature")
+                a = h_integrals(tensor, Mode(xi=xi, k=k))
+                b = h_integrals_quadrature(tensor, Mode(xi=xi, k=k))
                 assert_close(b.h_a, a.h_a, 1e-8)
                 assert_close(b.h_b, a.h_b, 1e-8)
                 assert_close(b.h_c, a.h_c, 1e-8)
@@ -134,36 +123,20 @@ class TestHIntegrals:
     def test_h_b_is_gamma_over_eta_t(self):
         tensor = make_drift_tensor(GE, 300.0)
         for k, xi in ((1e4, XI1), (2e5, 0.2 * XI1)):
-            hf = h_integrals(tensor, Mode(xi=xi, k=k), method="closed")
+            hf = h_integrals(tensor, Mode(xi=xi, k=k))
             dq = drift_quantities(Mode(xi=xi, k=k), GE_STATE, bare_eps(GE, xi))
             m = Mode(xi=xi, k=k)
             assert_close(hf.h_b, m.gamma0 / dq.eta_T, 1e-12)
-            assert_close(H_te(hf, m), m.gamma0 / dq.eta_T, 1e-12)
-
-    def test_closed_requires_exact_form_for_qz_dependent(self):
-        tensor = PermittivityTensor(
-            eps_perp=lambda q, xi: 2.0,
-            eps_par=lambda q, xi: 2.0 + 1e5 / q,
-            qz_dependent=True,
-        )
-        with pytest.raises(DomainError):
-            h_integrals(tensor, Mode(xi=XI1, k=1e4), method="closed")
-        # the quadrature path handles it
-        hf = h_integrals(tensor, Mode(xi=XI1, k=1e4), method="quadrature")
-        assert math.isfinite(hf.h_a)
+            assert_close(hf.H_te, m.gamma0 / dq.eta_T, 1e-12)
 
     def test_scale_separation_guard(self):
         tensor = make_drift_tensor(GE, 300.0)
         with pytest.raises(EvaluationError):
-            h_integrals(tensor, Mode(xi=1.0, k=1e6), method="closed")
+            h_integrals(tensor, Mode(xi=1.0, k=1e6))
 
     def test_requires_positive_xi(self):
         with pytest.raises(DomainError):
             h_integrals(unit_tensor(), Mode(xi=0.0, k=1e4))
-
-    def test_unknown_method(self):
-        with pytest.raises(DomainError):
-            h_integrals(unit_tensor(), Mode(xi=XI1, k=1e4), method="magic")
 
 
 class TestHFunctionsIdentity:
@@ -172,18 +145,11 @@ class TestHFunctionsIdentity:
         for k in logspace(1e2, 1e6, 8):
             for xi in logspace(1e-3 * XI1, 1e3 * XI1, 8):
                 m = Mode(xi=xi, k=k)
-                hf = h_integrals(tensor, m, method="closed")
+                hf = h_integrals(tensor, m)
                 eps = bare_eps(GE, xi)
                 dq = drift_quantities(m, GE_STATE, eps)
                 assert_close(hf.H_tm * dq.chi / (eps * m.gamma0), 1.0, 1e-9,
                              what=f"k={k:.2e} xi={xi:.2e}")
-
-    def test_standalone_assemblers_match_fields(self):
-        tensor = make_drift_tensor(SI, 300.0)
-        m = Mode(xi=2 * XI1, k=3e4)
-        hf = h_integrals(tensor, m, method="closed")
-        assert_close(H_tm(hf, m), hf.H_tm, 1e-14)
-        assert H_te(hf, m) == hf.H_te
 
 
 class TestRFromH:
@@ -217,5 +183,5 @@ class TestEquivalenceTheorem:
         tensor = make_drift_tensor(GE, 300.0)
         pair = amplitude_fn(Drift(), GE, 300.0)
         for k, xi in ((5e3, 0.4 * XI1), (1e5, 3 * XI1)):
-            hf = h_integrals(tensor, Mode(xi=xi, k=k), method="closed")
+            hf = h_integrals(tensor, Mode(xi=xi, k=k))
             assert_close(r_from_H_tilde(hf.H_tm_tilde), pair(xi, k)[0], 1e-8)
