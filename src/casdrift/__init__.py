@@ -22,6 +22,7 @@ from .lifshitz import (
     Geometry,
     Plate,
     SummationResult,
+    SumStats,
     Tolerances,
     energy_ratio,
     free_energy_per_area,

@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
+import numpy as np
+
 from . import phys
 from .errors import DomainError, ModelValidityError
 
@@ -45,6 +47,7 @@ __all__ = [
 ]
 
 T_VALID_MAX = 400.0  # K; fits quoted for ~20-300 K
+_ndarray = np.ndarray
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,13 @@ class SellmeierPermittivity:
         if not (self.omega0 > 0.0):
             raise DomainError(f"need omega0 > 0, got {self.omega0}")
 
-    def at(self, xi: float) -> float:
-        if not math.isfinite(xi) or xi < 0.0:
+    def at(self, xi):
+        """eps(i xi) for a float or a numpy array of frequencies."""
+        if type(xi) is _ndarray:
+            bad = not ((xi >= 0.0) & (xi < math.inf)).all()
+        else:
+            bad = not math.isfinite(xi) or xi < 0.0
+        if bad:
             raise DomainError(f"imaginary frequency must be >= 0, got {xi!r}")
         return self.eps_inf + self.omega0**2 * (self.eps0 - self.eps_inf) / (
             xi * xi + self.omega0**2

@@ -30,6 +30,10 @@ response ``chi = [k^2 + eps (xi/c)^2 (eta_L eta_T - k^2)/(eta_T^2 - k^2)] / eta_
 the TE amplitude is the ordinary Fresnel form ``(g0 - eta_T)/(g0 + eta_T)``.
 Static (xi = 0) values are never obtained by substituting xi = 0 into the
 xi-singular expressions; each model has an explicit analytic static branch.
+
+The providers built by :func:`amplitude_fn` accept floats or numpy arrays
+through one body: floats run on :mod:`math` (the cheapest scalar path),
+arrays on numpy with the same operations in the same order.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Union
+
+import numpy as np
 
 from . import phys
 from .errors import DomainError
@@ -59,6 +65,7 @@ __all__ = [
 ]
 
 _FOURPI = 4.0 * math.pi
+_ndarray = np.ndarray
 
 
 @dataclass(frozen=True)
@@ -155,12 +162,15 @@ def _defects(xi: float, state: MaterialState, eps_bar: float):
     return w, X, Y
 
 
-def _drift_parts(xi: float, k: float, state: MaterialState, eps_bar: float):
-    """(w, X, eta_L, eta_T, chi) at xi > 0; see :func:`drift_quantities`."""
+def _drift_parts(xi, k, state: MaterialState, eps_bar, lib=math):
+    """(w, X, eta_L, eta_T, chi) at xi > 0; see :func:`drift_quantities`.
+
+    ``lib`` is :mod:`math` for floats and numpy for arrays.
+    """
     k2 = k * k
     w, X, Y = _defects(xi, state, eps_bar)
-    etaL_v = math.sqrt(k2 + Y)
-    etaT_v = math.sqrt(k2 + X)
+    etaL_v = lib.sqrt(k2 + Y)
+    etaT_v = lib.sqrt(k2 + X)
     cross = (k2 * (X + Y) + X * Y) / (etaL_v * etaT_v + k2)  # eta_L eta_T - k^2
     chi_v = (k2 + eps_bar * w * cross / X) / etaL_v
     return w, X, etaL_v, etaT_v, chi_v
@@ -187,7 +197,7 @@ def drift_quantities(mode: Mode, state: MaterialState, eps_bar: float) -> DriftQ
 
 # --- Fresnel helpers ---------------------------------------------------------
 
-def _fresnel_pair(k: float, w: float, eps: float, X: float):
+def _fresnel_pair(k, w, eps, X, lib=math):
     """(r_tm, r_te) for a local permittivity eps at xi > 0.
 
     X = eps-induced transverse defect (eta^2 - k^2) is supplied separately
@@ -195,16 +205,16 @@ def _fresnel_pair(k: float, w: float, eps: float, X: float):
     (eps g0)^2 - eta^2 = (eps - 1)(k^2 (eps + 1) + eps w) + (eps w - X),
     exact for X = eps w, which keeps r == 0 at eps == 1 exact.
     """
-    g = math.sqrt(k * k + w)
-    eta = math.sqrt(k * k + X)
+    g = lib.sqrt(k * k + w)
+    eta = lib.sqrt(k * k + X)
     num_tm = (eps - 1.0) * (k * k * (eps + 1.0) + eps * w) + (eps * w - X)
     r_tm_v = num_tm / ((eps * g + eta) ** 2)
     r_te_v = (w - X) / ((g + eta) ** 2)
     return r_tm_v, r_te_v
 
 
-def _drift_static_tm(k: float, eps0: float, kappa: float) -> float:
-    q = math.hypot(k, kappa)
+def _drift_static_tm(k, eps0: float, kappa: float, lib=math):
+    q = lib.hypot(k, kappa)
     return (eps0 * q - k) / (eps0 * q + k)
 
 
@@ -218,46 +228,66 @@ def amplitude_fn(model: ReflectionModel, spec: MaterialSpec, T: float) -> Callab
     per-model static branches; it is pure and safe to call from concurrent
     workers.  This is the hot path used by the Lifshitz summation; the
     spec-level ``r_tm``/``r_te`` operations delegate to it.
+
+    ``xi`` and ``k`` may be floats or numpy arrays that broadcast together;
+    the static branch is taken for a float ``xi == 0``, so an array ``xi``
+    must hold positive frequencies only.  Amplitudes that do not depend on
+    k (the static TE zero, the ideal metal) come back as floats.
     """
     if isinstance(model, IdealMetal):
-        def pair_ideal(xi: float, k: float):
-            return (1.0, 0.0) if xi == 0.0 else (1.0, -1.0)
+        def pair_ideal(xi, k):
+            if type(xi) is not _ndarray and xi == 0.0:
+                return 1.0, 0.0
+            return 1.0, -1.0
         return pair_ideal
 
     perm = spec.permittivity
     eps0 = perm.eps0
 
     if isinstance(model, Bare):
-        def pair_bare(xi: float, k: float):
-            if xi == 0.0:
-                return (eps0 - 1.0) / (eps0 + 1.0), 0.0
+        def pair_bare(xi, k):
+            if type(xi) is _ndarray:
+                lib = np
+            else:
+                lib = np if type(k) is _ndarray else math
+                if xi == 0.0:
+                    return (eps0 - 1.0) / (eps0 + 1.0), 0.0
             eps = perm.at(xi)
             w = (xi / phys.C_LIGHT) ** 2
-            return _fresnel_pair(k, w, eps, eps * w)
+            return _fresnel_pair(k, w, eps, eps * w, lib)
         return pair_bare
 
     if isinstance(model, Conductivity):
         sigma0 = model.sigma0
 
-        def pair_cond(xi: float, k: float):
-            if xi == 0.0:
-                # 4 pi sigma0 / xi diverges: perfect TM reflector.
-                return (1.0 if sigma0 > 0.0 else (eps0 - 1.0) / (eps0 + 1.0)), 0.0
-            eps = perm.at(xi) + _FOURPI * sigma0 / xi
+        def pair_cond(xi, k):
+            if type(xi) is _ndarray:
+                lib = np
+            else:
+                lib = np if type(k) is _ndarray else math
+                if xi == 0.0:
+                    # 4 pi sigma0 / xi diverges: perfect TM reflector.
+                    return (1.0 if sigma0 > 0.0 else (eps0 - 1.0) / (eps0 + 1.0)), 0.0
+            eps_bare = perm.at(xi)
+            eps = eps_bare + _FOURPI * sigma0 / xi
             w = (xi / phys.C_LIGHT) ** 2
-            X = perm.at(xi) * w + _FOURPI * sigma0 * xi / phys.C_LIGHT**2
-            return _fresnel_pair(k, w, eps, X)
+            X = eps_bare * w + _FOURPI * sigma0 * xi / phys.C_LIGHT**2
+            return _fresnel_pair(k, w, eps, X, lib)
         return pair_cond
 
     if isinstance(model, Drift):
         state = _material_state_cached(spec, T)
 
-        def pair_drift(xi: float, k: float):
-            if xi == 0.0:
-                return _drift_static_tm(k, eps0, state.kappa), 0.0
+        def pair_drift(xi, k):
+            if type(xi) is _ndarray:
+                lib = np
+            else:
+                lib = np if type(k) is _ndarray else math
+                if xi == 0.0:
+                    return _drift_static_tm(k, eps0, state.kappa, lib), 0.0
             eps = perm.at(xi)
-            w, X, _, etaT_v, chi_v = _drift_parts(xi, k, state, eps)
-            g = math.hypot(k, xi / phys.C_LIGHT)
+            w, X, _, etaT_v, chi_v = _drift_parts(xi, k, state, eps, lib)
+            g = lib.hypot(k, xi / phys.C_LIGHT)
             r_tm_v = (eps * g - chi_v) / (eps * g + chi_v)
             # TE via the defect form: w - X has no cancellation, unlike
             # gamma0 - eta_T when both tend to k.
@@ -271,12 +301,16 @@ def amplitude_fn(model: ReflectionModel, spec: MaterialSpec, T: float) -> Callab
         state = _material_state_cached(spec, T)
         tensor = spatial.make_drift_tensor(spec, T)
 
-        def pair_nonlocal(xi: float, k: float):
-            if xi == 0.0:
-                return _drift_static_tm(k, eps0, state.kappa), 0.0
-            hf = spatial.h_integrals(tensor, Mode(xi=xi, k=k))
-            return (spatial.r_from_H_tilde(hf.H_tm_tilde),
-                    spatial.r_from_H_tilde(hf.H_te_tilde))
+        def pair_nonlocal(xi, k):
+            if type(xi) is _ndarray:
+                lib = np
+            else:
+                lib = np if type(k) is _ndarray else math
+                if xi == 0.0:
+                    return _drift_static_tm(k, eps0, state.kappa, lib), 0.0
+            ht_a, ht_b, ht_c, g, w = spatial._h_tildes(tensor, xi, k, lib)
+            Ht_tm = spatial._assemble_H_tm_tilde(ht_a, ht_b, ht_c, k, g, w, xi)
+            return spatial.r_from_H_tilde(Ht_tm), spatial.r_from_H_tilde(ht_b)
         return pair_nonlocal
 
     raise DomainError(f"unknown reflection model {model!r}")

@@ -32,13 +32,17 @@ suite and the ``nonlocal-verify`` command).
 
 h_b and h_c have closed forms because eps_perp does not depend on q_z; h_a
 has one by partial fractions of the Lorentzian-in-q^2 eps_par.  The test
-suite checks all three against adaptive q_z quadrature.
+suite checks all three against adaptive q_z quadrature.  The closed forms
+accept floats or numpy arrays, so the ``Nonlocal`` amplitude provider
+evaluates whole (xi, k) grids through them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import phys
 from .errors import DomainError, EvaluationError
@@ -57,12 +61,12 @@ __all__ = [
 ]
 
 _FOURPI = 4.0 * math.pi
+_ndarray = np.ndarray
 
-# Below xi/(c k) ~ 1e-8 the frequency and wavevector scales in the h_c
-# integrand are separated by >= 16 decades and a q_z quadrature loses
-# all relative accuracy; the closed forms stay regular, but standalone
-# h-evaluation refuses rather than return unverifiable numbers.
-_XI_OVER_CK_MIN = 1.0e-8
+
+def _any(mask) -> bool:
+    """Whether a comparison holds: the bool itself, or any array element."""
+    return bool(mask.any()) if type(mask) is _ndarray else mask
 
 
 @dataclass(frozen=True)
@@ -90,14 +94,14 @@ class HFunctions:
 
 # --- drift-model tensor components -------------------------------------------
 
-def eps_perp_drift(k: float, xi: float, state: MaterialState, eps_bar: float) -> float:
+def eps_perp_drift(k, xi, state: MaterialState, eps_bar):
     """Transverse drift permittivity eps(i xi)[1 + omega_c/(xi(1+xi tau))].
 
     Independent of k.  Satisfies k^2 + eps_perp xi^2/c^2 = eta_T^2 exactly.
     xi = 0 is a domain error (the conduction term diverges; use the static
     tensor instead).
     """
-    if xi <= 0.0:
+    if _any(xi <= 0.0):
         raise DomainError(
             "eps_perp_drift requires xi > 0; use the static uniaxial tensor "
             "for the xi = 0 term"
@@ -144,19 +148,19 @@ class DriftTensor:
     def eps_par(self, q: float, xi: float) -> float:
         return eps_par_drift(q, xi, self.state, bare_eps(self.spec, xi))
 
-    def h_a(self, mode: Mode) -> float:
+    def h_a(self, k, xi, lib=math):
         """h_a = (a0 + kq^2 k/eta_L) / (eps (a0 + kq^2)).
 
         a0 = xi(1+xi tau)/D, kq^2 = 4 pi e^2 n0/(eps kB T) and
         eta_L = sqrt(k^2 + kq^2 + a0), by partial fractions of the
-        Lorentzian-in-q^2 component.
+        Lorentzian-in-q^2 component.  ``lib`` is numpy for array input.
         """
         state = self.state
-        eps = bare_eps(self.spec, mode.xi)
-        a0 = mode.xi * (1.0 + mode.xi * state.tau) / state.D
+        eps = bare_eps(self.spec, xi)
+        a0 = xi * (1.0 + xi * state.tau) / state.D
         kq2 = _FOURPI * phys.E_CHARGE**2 * state.n0 / (eps * phys.K_B * state.T)
-        eta_l = math.sqrt(mode.k**2 + kq2 + a0)
-        return (a0 + kq2 * mode.k / eta_l) / (eps * (a0 + kq2))
+        eta_l = lib.sqrt(k**2 + kq2 + a0)
+        return (a0 + kq2 * k / eta_l) / (eps * (a0 + kq2))
 
 
 def make_drift_tensor(spec: MaterialSpec, T: float) -> DriftTensor:
@@ -175,38 +179,32 @@ def h_integrals(tensor: DriftTensor, mode: Mode) -> HFunctions:
     if mode.xi <= 0.0:
         raise DomainError("h-integrals are defined for xi > 0")
     k, xi = mode.k, mode.xi
-    ratio = xi / (phys.C_LIGHT * k)
-    if ratio < _XI_OVER_CK_MIN:
-        raise EvaluationError(
-            f"xi/(c k) = {ratio:.2e} < {_XI_OVER_CK_MIN:.0e}: scale separation "
-            "too extreme for a verifiable h_c; evaluate the xi = 0 term with "
-            "the static uniaxial tensor instead",
-            k=k, xi=xi,
-        )
-    g = mode.gamma0
-    w = (xi / phys.C_LIGHT) ** 2
+    ht_a, ht_b, ht_c, g, w = _h_tildes(tensor, xi, k)
+    Ht_tm = _assemble_H_tm_tilde(ht_a, ht_b, ht_c, k, g, w, xi)
+    h_b = 1.0 + ht_b
+    return HFunctions(
+        h_a=1.0 + ht_a, h_b=h_b, h_c=1.0 + ht_c,
+        h_tilde_a=ht_a, h_tilde_b=ht_b, h_tilde_c=ht_c,
+        H_tm=1.0 + Ht_tm, H_te=h_b,
+        H_tm_tilde=Ht_tm, H_te_tilde=ht_b,
+        gamma0=g,
+    )
 
+
+def _h_tildes(tensor, xi, k, lib=math):
+    """(h~_a, h~_b, h~_c, gamma0, w) at xi > 0 for floats or arrays."""
+    g = lib.hypot(k, xi / phys.C_LIGHT)
+    w = (xi / phys.C_LIGHT) ** 2
     ep = tensor.eps_perp(k, xi)   # transverse component, local in q
-    eta_t = math.sqrt(k * k + ep * w)
-    h_a = tensor.h_a(mode)
-    ht_a = h_a - 1.0
+    eta_t = lib.sqrt(k * k + ep * w)
+    ht_a = tensor.h_a(k, xi, lib) - 1.0
     # gamma0^2 - eta_T^2 = (1 - eps_perp) w: differences of near-equal
     # wavevectors are formed from the permittivity defect, never by
     # subtracting the roots.
     dw = (1.0 - ep) * w
     ht_b = dw / (eta_t * (g + eta_t))
     ht_c = dw * (g + eta_t + k) / ((g + eta_t) * eta_t * (eta_t + k))
-    h_b = 1.0 + ht_b
-    h_c = 1.0 + ht_c
-
-    Ht_tm = _assemble_H_tm_tilde(ht_a, ht_b, ht_c, k, g, w, xi)
-    return HFunctions(
-        h_a=h_a, h_b=h_b, h_c=h_c,
-        h_tilde_a=ht_a, h_tilde_b=ht_b, h_tilde_c=ht_c,
-        H_tm=1.0 + Ht_tm, H_te=h_b,
-        H_tm_tilde=Ht_tm, H_te_tilde=ht_b,
-        gamma0=g,
-    )
+    return ht_a, ht_b, ht_c, g, w
 
 
 def _assemble_H_tm_tilde(ht_a, ht_b, ht_c, k, g, w, xi):
@@ -222,14 +220,14 @@ def _assemble_H_tm_tilde(ht_a, ht_b, ht_c, k, g, w, xi):
         - (k * g_minus_k / (g * g)) * ht_c
     )
     den = 1.0 + den_tilde
-    if den == 0.0:
+    if _any(den == 0.0):
         raise EvaluationError("H_tm denominator vanished", k=k, xi=xi)
     return -den_tilde / den
 
 
-def r_from_H_tilde(H_tilde: float) -> float:
+def r_from_H_tilde(H_tilde):
     """(H - 1)/(H + 1) evaluated from H - 1: exact for near-unity H."""
-    if H_tilde == -2.0:
+    if _any(H_tilde == -2.0):
         raise EvaluationError("H = -1: reflection amplitude has a pole here")
     return H_tilde / (2.0 + H_tilde)
 

@@ -12,7 +12,10 @@ library result by an independent route:
   adaptive quadrature, against which the closed forms in
   :mod:`casdrift.spatial` are held;
 * :func:`r_from_H` -- the plain (H - 1)/(H + 1), against which the
-  compensated ``r_from_H_tilde`` is held.
+  compensated ``r_from_H_tilde`` is held;
+* :func:`term_integrals_quad` -- one Matsubara term's u-integrals by
+  scalar adaptive quadrature, one polarization at a time, against which
+  the blocked Gauss-Kronrod engine of :mod:`casdrift.lifshitz` is held.
 """
 
 from __future__ import annotations
@@ -183,13 +186,19 @@ class ConstantTensor:
     def eps_par(self, q: float, xi: float) -> float:
         return self.par
 
-    def h_a(self, mode: Mode) -> float:
+    def h_a(self, k, xi, lib=math) -> float:
         return 1.0 / self.par
 
 
 def unit_tensor() -> ConstantTensor:
     """Vacuum tensor (eps == 1): all tilded integrals vanish, H = 1, r = 0."""
     return ConstantTensor(perp=1.0, par=1.0)
+
+
+# Below xi/(c k) ~ 1e-8 the frequency and wavevector scales in the h_c
+# integrand are separated by >= 16 decades and the q_z quadrature loses all
+# relative accuracy (the closed forms stay regular and exact).
+_XI_OVER_CK_MIN = 1.0e-8
 
 
 def _quad_semi_infinite(f: Callable[[float], float], scale: float) -> tuple:
@@ -216,6 +225,13 @@ def h_integrals_quadrature(tensor, mode: Mode) -> HFunctions:
     precision.
     """
     k, xi = mode.k, mode.xi
+    ratio = xi / (phys.C_LIGHT * k)
+    if ratio < _XI_OVER_CK_MIN:
+        raise EvaluationError(
+            f"xi/(c k) = {ratio:.2e} < {_XI_OVER_CK_MIN:.0e}: scale separation "
+            "too extreme for a verifiable q_z quadrature of h_c",
+            k=k, xi=xi,
+        )
     g = mode.gamma0
     w = (xi / phys.C_LIGHT) ** 2
     ep = tensor.eps_perp(k, xi)
@@ -277,3 +293,26 @@ def r_from_H(H: float) -> float:
     if H == -1.0:
         raise EvaluationError("H = -1: reflection amplitude has a pole here")
     return (H - 1.0) / (H + 1.0)
+
+
+def term_integrals_quad(kind: str, d: float, xi: float, pair1, pair2,
+                        quad_rel: float) -> tuple:
+    """(I_tm, I_te) of one Matsubara term by scipy's scalar ``quad``.
+
+    I_p = Int u ln(1 - Q) du (energy) or Int u^2 Q/(1 - Q) du (pressure)
+    over u in [u_min, u_min + 60], Q = r1 r2 exp(-u), u = 2 d gamma0 and
+    u_min = 2 d xi / c: the integrals the library's engine sums, taken
+    without its shift, blocks or vectorization.
+    """
+    u_min = 2.0 * d * xi / phys.C_LIGHT
+
+    def f(u: float, idx: int) -> float:
+        k = math.sqrt((u - u_min) * (u + u_min)) / (2.0 * d)
+        q = pair1(xi, k)[idx] * pair2(xi, k)[idx] * math.exp(-u)
+        return u * math.log1p(-q) if kind == "energy" else u * u * q / (1.0 - q)
+
+    return tuple(
+        quad(f, u_min, u_min + 60.0, args=(idx,), epsabs=1e-300,
+             epsrel=quad_rel, limit=300)[0]
+        for idx in (0, 1)
+    )

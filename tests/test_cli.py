@@ -160,6 +160,15 @@ def test_nonlocal_verify_small_grid(capsys):
     assert "equivalence = PASS" in out
 
 
+def test_nonlocal_verify_below_one_kelvin(capsys):
+    # the default grid reaches xi/(c k) ~ 3e-9 at 0.1 K; the closed-form
+    # h-integrals need no scale-separation guard there
+    rc, out, _ = run_cli(capsys, "nonlocal-verify", "--material", "Ge",
+                         "--T", "0.1", "--nk", "3", "--nxi", "3")
+    assert rc == 0
+    assert "equivalence = PASS" in out
+
+
 def test_nernst_short(capsys):
     rc, out, _ = run_cli(capsys, "nernst", "--material", "Ge", "--model",
                          "drift", "--T-list", "120,60", "--d", "1")

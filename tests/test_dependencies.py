@@ -7,11 +7,12 @@ from pathlib import Path
 
 import casdrift
 
-# the test-only extras (pyproject's ``test`` group) are made unimportable
+# the test-only extras (pyproject's ``test`` group, scipy among them) are
+# made unimportable
 _SCRIPT = r"""
 import importlib, pkgutil, sys
 
-BLOCKED = {"mpmath", "hypothesis", "pytest"}
+BLOCKED = {"mpmath", "hypothesis", "pytest", "scipy"}
 
 class Block:
     def find_spec(self, name, path=None, target=None):
@@ -24,7 +25,8 @@ import casdrift
 for info in pkgutil.iter_modules(casdrift.__path__):
     importlib.import_module(f"casdrift.{info.name}")
 from casdrift import cli
-sys.exit(cli.main(["materials", "--material", "Ge"]))
+rc = cli.main(["materials", "--material", "Ge"])
+sys.exit(rc or cli.main(["energy", "--material", "Ge", "--model", "drift", "--d", "1"]))
 """
 
 
@@ -35,3 +37,4 @@ def test_runs_without_test_extras():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "n0" in proc.stdout
+    assert "E_erg_cm2" in proc.stdout

@@ -4,7 +4,7 @@ from dataclasses import replace
 import mpmath as mp
 import pytest
 
-from casdrift import phys
+from casdrift import lifshitz, phys
 from casdrift.errors import DomainError, NormalizationError, SummationError
 from casdrift.lifshitz import (
     Geometry,
@@ -20,9 +20,11 @@ from casdrift.lifshitz import (
     ratio_to_bare,
 )
 from casdrift.materials import GE, SI, SellmeierPermittivity, material_state
-from casdrift.reflection import Bare, Conductivity, Drift, IdealMetal, Mode
+from casdrift.reflection import (
+    Bare, Conductivity, Drift, IdealMetal, Mode, Nonlocal, amplitude_fn)
 
 from conftest import assert_close
+from oracles import term_integrals_quad
 
 D_1UM = 1e-4
 TIGHT = Tolerances(quad_rel=1e-10, sum_rel=1e-12)
@@ -173,6 +175,95 @@ class TestShapeAndBookkeeping:
         geom = Geometry.identical(0.5e-4, GE, Drift())
         with pytest.raises(SummationError, match="raise T"):
             free_energy_per_area(geom, 1e-3)
+
+
+class TestNonlocalPlates:
+    def test_nonlocal_sums_equal_drift(self):
+        for spec in (GE, SI):
+            for op in (free_energy_per_area, pressure):
+                geom = Geometry.identical(D_1UM, spec)
+                a = op(geom, 300.0, model=Nonlocal(), tolerances=TIGHT)
+                b = op(geom, 300.0, model=Drift(), tolerances=TIGHT)
+                assert_close(a.value, b.value, 1e-8, what=f"{spec.name} {op.__name__}")
+                assert a.n_truncated_at == b.n_truncated_at
+
+    def test_plate_swap(self):
+        # the two-provider branch: Ge/Drift against Si/Nonlocal
+        ge, si = Plate(GE, Drift()), Plate(SI, Nonlocal())
+        for op in (free_energy_per_area, pressure):
+            for d in (0.3e-4, D_1UM):
+                a = op(Geometry(d, ge, si), 300.0).value
+                b = op(Geometry(d, si, ge), 300.0).value
+                assert_close(a, b, 1e-12, what=f"{op.__name__} d={d}")
+
+
+class TestScalarQuadratureReference:
+    def test_terms_match_scalar_quad(self):
+        # every fourth term and the last, against one scalar quad per
+        # polarization; both sides hold quad_rel = 1e-10
+        mixed = Geometry(D_1UM, Plate(GE, Drift()), Plate(SI, Nonlocal()))
+        cases = [
+            (free_energy_per_area, "energy", Geometry.identical(D_1UM, GE, Drift()), 300.0),
+            (free_energy_per_area, "energy", Geometry.identical(D_1UM, GE, IdealMetal()), 300.0),
+            (free_energy_per_area, "energy", Geometry.identical(D_1UM, SI, Bare()), 20.0),
+            (pressure, "pressure", mixed, 77.0),
+        ]
+        for op, kind, geom, T in cases:
+            res = op(geom, T, tolerances=TIGHT)
+            coef = phys.K_B * T / (8.0 * math.pi * geom.d**2)
+            if kind == "pressure":
+                coef /= geom.d
+            p1 = amplitude_fn(geom.plate1.model, geom.plate1.material, T)
+            p2 = amplitude_fn(geom.plate2.model, geom.plate2.material, T)
+            for n, te, tm in res.per_n_terms[::4] + res.per_n_terms[-1:]:
+                xi = phys.matsubara_xi(n, T) if n else 0.0
+                w = 0.5 if n == 0 else 1.0
+                i_tm, i_te = term_integrals_quad(kind, geom.d, xi, p1, p2, 1e-10)
+                what = f"{kind} T={T} n={n}"
+                assert abs(tm - w * coef * i_tm) <= 1e-9 * abs(w * coef * i_tm), what
+                assert abs(te - w * coef * i_te) <= 1e-9 * abs(w * coef * i_te), what
+
+
+class TestSumStats:
+    def test_stats_repeat_and_count(self):
+        geom = Geometry.identical(D_1UM, GE, Drift())
+        a = free_energy_per_area(geom, 40.0, tolerances=TIGHT)
+        b = free_energy_per_area(geom, 40.0, tolerances=TIGHT)
+        assert a.stats == b.stats
+        assert a.value == b.value
+        st = a.stats
+        assert st.terms_kept == len(a.per_n_terms) == a.n_truncated_at + 1
+        assert st.terms_computed >= st.terms_kept
+        assert st.nodes % 21 == 0 and st.nodes >= 21 * st.panels
+        assert st.panels >= st.terms_computed and st.passes >= 2
+
+
+class TestEngineGuards:
+    def test_panel_limit_leaves_a_note(self, monkeypatch):
+        monkeypatch.setattr(lifshitz, "_PANEL_LIMIT", 4)
+        res = free_energy_per_area(Geometry.identical(D_1UM, GE, Drift()), 300.0,
+                                   tolerances=TIGHT)
+        assert any(w.startswith("quadrature note at xi=0.0000e+00 (TM): panel limit")
+                   for w in res.warnings)
+        assert_close(res.value, GE_E_1UM_300K, 1e-9)
+
+    def test_cap_refusal_carries_the_partial_sum(self, monkeypatch):
+        # 19 terms pass the upfront check at 1 um and 300 K but stop short
+        # of the 21 the tight sum needs
+        monkeypatch.setattr(lifshitz, "_N_CAP", 19)
+        with pytest.raises(SummationError, match="hit the cap") as info:
+            free_energy_per_area(Geometry.identical(D_1UM, GE, Drift()), 300.0,
+                                 tolerances=TIGHT)
+        partial = info.value.partial
+        assert partial.n_truncated_at == 19 and len(partial.per_n_terms) == 20
+        assert partial.stats.terms_kept == 20
+
+    def test_non_finite_integral_is_refused(self, monkeypatch):
+        def nan_amplitudes(model, spec, T):
+            return lambda xi, k: (k * math.nan, 0.0)
+        monkeypatch.setattr(lifshitz, "amplitude_fn", nan_amplitudes)
+        with pytest.raises(SummationError, match="non-finite energy integral"):
+            free_energy_per_area(Geometry.identical(D_1UM, GE, Drift()), 300.0)
 
 
 class TestGMode:

@@ -2,6 +2,7 @@ import math
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,14 +30,14 @@ XI1 = phys.matsubara_xi(1, 300.0)
 ALL_MODELS = [Bare(), Conductivity(sigma0=2.09e10), Drift(), Nonlocal()]
 
 
-def mp_drift_quantities(spec, T, xi, k):
-    """Multiprecision (30-digit) re-evaluation of the drift-model quantities.
+def mp_drift_quantities(spec, T, xi, k, dps=30):
+    """Multiprecision (``dps``-digit) re-evaluation of the drift-model quantities.
 
     Returns mpmath values (eps_bar, eta_L, eta_T, chi, r_tm, r_te) computed
     from the textbook expressions; cast to float where a 1e-12-level
     comparison suffices.
     """
-    mp.mp.dps = 30
+    mp.mp.dps = dps
     st_ = material_state(spec, T)
     ebar = mp.mpf(spec.permittivity.eps_inf) + mp.mpf(spec.permittivity.omega0)**2 * (
         mp.mpf(spec.permittivity.eps0) - mp.mpf(spec.permittivity.eps_inf)
@@ -268,6 +269,25 @@ class TestBoundaryConditionOracle:
             assert_close(rtm_o, rtm_c, 1e-9, what=f"TM k={k:.2e} xi={xi:.2e}")
             assert_close(rte_o, rte_c, 1e-9, what=f"TE k={k:.2e} xi={xi:.2e}")
 
+    def test_nonlocal_at_extreme_scale_separation(self):
+        # down to xi/(c k) = 1e-12 the closed-form Nonlocal amplitudes
+        # match Drift and the oracle; TE falls to ~1e-24 there, so the
+        # oracle gets 50-digit etas
+        for spec in (GE, SI):
+            for T in (300.0, 10.0):
+                drift = amplitude_fn(Drift(), spec, T)
+                nonlocal_ = amplitude_fn(Nonlocal(), spec, T)
+                for k in (1e2, 1e4, 1e6):
+                    for ratio in (1e-8, 1e-10, 1e-12):
+                        xi = ratio * phys.C_LIGHT * k
+                        ebar, etaL_, etaT_, _, _, _ = mp_drift_quantities(
+                            spec, T, xi, k, dps=50)
+                        oracle = r_oracle_bc(Mode(xi=xi, k=k), etaL_, etaT_, ebar)
+                        what = f"{spec.name} T={T} k={k:.0e} xi/(ck)={ratio:.0e}"
+                        for r_n, r_d, r_o in zip(nonlocal_(xi, k), drift(xi, k), oracle):
+                            assert_close(r_n, r_d, 1e-8, what=what)
+                            assert_close(r_n, r_o, 1e-9, what=what)
+
     def test_reproduces_textbook_fresnel_without_carriers(self):
         spec = zero_carrier(SI)
         st_ = material_state(spec, 300.0)
@@ -293,6 +313,28 @@ class TestBoundaryConditionOracle:
     def test_requires_positive_frequency(self):
         with pytest.raises(DomainError):
             r_oracle_bc(Mode(xi=0.0, k=1e4), 1e4, 1e4, 16.2)
+
+
+class TestArrayEvaluation:
+    def test_array_k_matches_scalar_calls(self):
+        # one body serves floats and arrays: every provider, a row of k at
+        # fixed xi (xi = 0 takes the static branch) and an (xi, k) grid
+        ks = np.logspace(1.0, 7.0, 25)
+        xis = np.array([0.1, 1.0, 30.0])[:, None] * XI1
+        for model in ALL_MODELS + [IdealMetal()]:
+            for spec in (GE, SI):
+                pair = amplitude_fn(model, spec, 300.0)
+                cases = [(xi, ks) for xi in (0.0, 0.1 * XI1, XI1, 30.0 * XI1)]
+                cases.append((xis, np.broadcast_to(ks, (3, ks.size))))
+                for xi, k in cases:
+                    got = pair(xi, k)
+                    xi_b = np.broadcast_to(xi, k.shape)
+                    for c in (0, 1):
+                        arr = np.broadcast_to(got[c], k.shape)
+                        for x, kk, v in zip(xi_b.flat, k.flat, arr.flat):
+                            want = pair(float(x), float(kk))[c]
+                            assert abs(v - want) <= 1e-15 * abs(want), (
+                                model, spec.name, c, x, kk, v, want)
 
 
 def test_dispatch_rejects_unknown_model():
