@@ -15,7 +15,6 @@ from .errors import (
     EvaluationError,
     ModelValidityError,
     NormalizationError,
-    ProbeError,
     SummationError,
 )
 from .lifshitz import (
@@ -27,7 +26,6 @@ from .lifshitz import (
     energy_ratio,
     free_energy_per_area,
     g_mode,
-    pc_n0_ratio_asymptote,
     pressure,
     ratio_to_bare,
 )
@@ -43,7 +41,6 @@ from .materials import (
     carrier_density,
     get_material,
     material_state,
-    omega_c,
     relaxation_time,
 )
 from .phys import CODATA2018, Constants, matsubara_xi, sigma_gaussian, thermal_wavelength
@@ -51,26 +48,19 @@ from .reflection import (
     Bare,
     Conductivity,
     Drift,
-    DriftQuantities,
     IdealMetal,
     Mode,
     Nonlocal,
     ReflectionModel,
     amplitude_fn,
-    drift_quantities,
-    r_te,
-    r_tm,
 )
 from .spatial import (
     DriftTensor,
-    HFunctions,
-    eps_par_drift,
     eps_perp_drift,
-    h_integrals,
     make_drift_tensor,
     r_from_H_tilde,
     verify_equivalence,
 )
-from .thermo import EntropyPoint, GProbe, NernstReport, entropy, g_probe, nernst_sweep
+from .thermo import EntropyPoint, NernstReport, entropy, nernst_sweep
 
 __all__ = [name for name in dir() if not name.startswith("_")]

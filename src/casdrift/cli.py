@@ -25,7 +25,6 @@ CSV is still written).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Iterable, Optional, Sequence
 
@@ -36,6 +35,7 @@ from .lifshitz import (
     Geometry,
     energy_ratio,
     free_energy_per_area,
+    g_mode,
     pressure as pressure_op,
 )
 from .materials import band_gap, bare_eps, material_state
@@ -59,16 +59,12 @@ def _fmt(v) -> str:
     return f"{v:.11e}"
 
 
-def _emit(cfg_or_meta, header: Sequence[str], rows: Iterable[Sequence],
+def _emit(cfg: RunConfig, header: Sequence[str], rows: Iterable[Sequence],
           out: Optional[str], trailing: Sequence[str] = ()) -> None:
-    if isinstance(cfg_or_meta, RunConfig):
-        meta = [("casdrift_version", __version__),
-                ("config_hash", cfg_or_meta.config_hash()),
-                ("units", _UNITS_NOTE)]
-        meta.extend(cfg_or_meta.metadata)
-    else:
-        meta = [("casdrift_version", __version__), ("units", _UNITS_NOTE)]
-        meta.extend(cfg_or_meta)
+    meta = [("casdrift_version", __version__),
+            ("config_hash", cfg.config_hash()),
+            ("units", _UNITS_NOTE)]
+    meta.extend(cfg.metadata)
     lines = [f"# {k} = {v}" for k, v in meta]
     lines.append(",".join(header))
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
@@ -259,21 +255,18 @@ def _cmd_modeplot(args) -> int:
     cfg = build_run_config(args, "modeplot")
     T_list = _parse_float_list(args.T_list) if args.T_list is not None \
         else [1.0, 150.0, 300.0]
-    d = cfg.distances_cm[0]
+    geom = Geometry.identical(cfg.distances_cm[0], cfg.material, cfg.model)
     xi_max = 3.0 * phys.matsubara_xi(1, 300.0)
     n_xi, n_k = 25, 25
     xis = [xi_max * i / (n_xi - 1) for i in range(n_xi)]
     ks = list(parse_distances_um("1e2:1e6:log25"))  # raw 1/cm values
     rows = []
     for T in T_list:
-        pair = amplitude_fn(cfg.model, cfg.material, T)
         for xi in xis:
             for k in ks:
                 mode = Mode(xi=xi, k=k)
-                damp = math.exp(-2.0 * d * mode.gamma0)
-                r_tm_v, r_te_v = pair(xi, k)
-                rows.append((T, "TM", xi, k, math.log1p(-r_tm_v * r_tm_v * damp)))
-                rows.append((T, "TE", xi, k, math.log1p(-r_te_v * r_te_v * damp)))
+                rows.extend((T, p, xi, k, g_mode(p, mode, geom, T))
+                            for p in ("TM", "TE"))
     _emit(cfg, ("T_K", "polarization", "xi_rad_s", "k_cm", "g"), rows, cfg.out)
     return 0
 

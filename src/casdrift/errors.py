@@ -40,9 +40,5 @@ class NormalizationError(CasdriftError):
     """A ratio could not be formed because the reference value is ~ 0."""
 
 
-class ProbeError(CasdriftError):
-    """A finite-difference probe stencil did not behave consistently."""
-
-
 class ConfigError(CasdriftError):
     """Invalid run configuration (unknown key, bad value, bad combination)."""

@@ -36,13 +36,15 @@ The first block runs to the n where exp(-2 d xi_n / c) falls below
 each block's terms in n-order and stops once three successive terms each
 contribute less than ``sum_rel`` of the accumulated value; terms computed
 past the stop are dropped.  A geometric fit to the last terms provides the
-recorded tail estimate.  Terms are reduced in fixed n-order and every
-array operation runs in a fixed order, so repeated runs are bit-identical.
+recorded tail estimate, with the measured ratio uncapped; a ratio of 1 or
+more reports an infinite estimate.  Terms are reduced in fixed n-order and
+every array operation runs in a fixed order, so repeated runs are
+bit-identical.
 ``SummationResult.stats`` records the work done.
 
-Reference values: two ideal metals contribute exactly
--kB T zeta(3)/(16 pi d^2) (energy) and kB T zeta(3)/(8 pi d^3) (pressure)
-through the n = 0 TM term alone.
+Reference values, held by the test suite: two ideal metals contribute
+exactly -kB T zeta(3)/(16 pi d^2) (energy) and kB T zeta(3)/(8 pi d^3)
+(pressure) through the n = 0 TM term alone.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ import numpy as np
 from . import phys
 from .errors import DomainError, NormalizationError, SummationError
 from .materials import MaterialSpec, T_VALID_MAX
-from .reflection import Bare, IdealMetal, ReflectionModel, amplitude_fn
+from .reflection import Bare, ReflectionModel, amplitude_fn
 
 __all__ = [
     "Plate",
@@ -69,12 +71,8 @@ __all__ = [
     "pressure",
     "ratio_to_bare",
     "energy_ratio",
-    "pc_n0_ratio_asymptote",
-    "ideal_metal_n0_tm_energy",
-    "ideal_metal_n0_tm_pressure",
 ]
 
-ZETA3 = 1.2020569031595943
 _T_WINDOW = 60.0          # exp(-60) ~ 9e-27: integrand dead past this
 _N_CAP = 2_000_000        # hard Matsubara cap (see design notes)
 _PANEL_LIMIT = 300        # G-K panels per Matsubara term
@@ -325,8 +323,7 @@ def _range_warnings(T: float) -> list:
 
 def _matsubara_sum(kind: str, geom: Geometry, T: float,
                    model: Optional[ReflectionModel],
-                   tolerances: Optional[Tolerances],
-                   n0_model: Optional[ReflectionModel] = None) -> SummationResult:
+                   tolerances: Optional[Tolerances]) -> SummationResult:
     if not math.isfinite(T) or T <= 0.0:
         raise DomainError(f"temperature must be finite and positive, got {T!r}")
     tol = tolerances if tolerances is not None else Tolerances()
@@ -342,8 +339,7 @@ def _matsubara_sum(kind: str, geom: Geometry, T: float,
             diagnostics={"T": T, "d": d, "n_cap": _N_CAP},
         )
 
-    pairs = _pair_fns(geom, T, model)
-    pairs_n0 = pairs if n0_model is None else _pair_fns(geom, T, n0_model)
+    p1, p2 = _pair_fns(geom, T, model)
 
     coef = phys.K_B * T / (8.0 * math.pi * d * d)
     if kind == "pressure":
@@ -365,7 +361,6 @@ def _matsubara_sum(kind: str, geom: Geometry, T: float,
     while not done:
         if n_next == 0:
             ns = np.zeros(1)
-            p1, p2 = pairs_n0
         else:
             if n_next <= n_expected:
                 size = n_expected + 1 - n_next
@@ -373,7 +368,6 @@ def _matsubara_sum(kind: str, geom: Geometry, T: float,
                 size, extra = extra, 2 * extra
             size = min(max(size, _BLOCK_MIN), _BLOCK_MAX)
             ns = np.arange(n_next, min(n_next + size, _N_CAP + 1), dtype=float)
-            p1, p2 = pairs
         xis = 2.0 * math.pi * ns * phys.K_B * T / phys.HBAR
         vals, errs, notes, work = _block_integrals(kind, d, xis, p1, p2, tol.quad_rel)
         counts = [c + w for c, w in zip(counts, (len(ns),) + work)]
@@ -421,12 +415,13 @@ def _matsubara_sum(kind: str, geom: Geometry, T: float,
                 )
         n_next += len(ns)
 
-    # geometric tail estimate from the last recorded terms
+    # geometric tail estimate from the last recorded terms, with the measured
+    # ratio: at low T it approaches 1 and the tail grows as 1/(1 - rho)
     tail = 0.0
     nz = [t for t in recent if t > 0.0]
     if len(nz) >= 2:
-        rho = min(nz[-1] / nz[-2], 0.99) if nz[-2] > 0 else 0.0
-        tail = nz[-1] * rho / (1.0 - rho)
+        rho = nz[-1] / nz[-2]
+        tail = math.inf if rho >= 1.0 else nz[-1] * rho / (1.0 - rho)
 
     return SummationResult(
         value=acc,
@@ -443,29 +438,23 @@ def _matsubara_sum(kind: str, geom: Geometry, T: float,
 
 def free_energy_per_area(geom: Geometry, T: float,
                          model: Optional[ReflectionModel] = None,
-                         tolerances: Optional[Tolerances] = None,
-                         n0_model: Optional[ReflectionModel] = None
+                         tolerances: Optional[Tolerances] = None
                          ) -> SummationResult:
     """Casimir-Lifshitz free energy per area [erg/cm^2] (negative, binding).
 
-    ``model`` overrides the plates' bound models for this call; ``n0_model``
-    optionally replaces the amplitudes used for the n = 0 term (used by the
-    single-mode analysis and the perfect-conductor reference curves).
+    ``model`` overrides the plates' bound models for this call.
     """
-    return _matsubara_sum("energy", geom, T, model, tolerances,
-                          n0_model=n0_model)
+    return _matsubara_sum("energy", geom, T, model, tolerances)
 
 
 def pressure(geom: Geometry, T: float,
              model: Optional[ReflectionModel] = None,
-             tolerances: Optional[Tolerances] = None,
-             n0_model: Optional[ReflectionModel] = None) -> SummationResult:
+             tolerances: Optional[Tolerances] = None) -> SummationResult:
     """Casimir-Lifshitz pressure [dyn/cm^2]; positive = attraction.
 
     Equals the d-derivative of the free energy per area.
     """
-    return _matsubara_sum("pressure", geom, T, model, tolerances,
-                          n0_model=n0_model)
+    return _matsubara_sum("pressure", geom, T, model, tolerances)
 
 
 def ratio_to_bare(geom: Geometry, T: float, model: ReflectionModel,
@@ -484,27 +473,3 @@ def energy_ratio(e_model: float, e_bare: float) -> float:
             "normalization floor 1e-30"
         )
     return e_model / e_bare
-
-
-def pc_n0_ratio_asymptote(geom: Geometry, T: float,
-                          tolerances: Optional[Tolerances] = None) -> float:
-    """Ratio obtained by replacing the n = 0 TM amplitude with 1.
-
-    Reference level that the drift (d >> R_D) and conductivity (d >~
-    lambda_T) ratio curves approach: bare amplitudes everywhere except a
-    perfectly reflecting n = 0 TM mode.
-    """
-    e_pc = free_energy_per_area(geom, T, model=Bare(), tolerances=tolerances,
-                                n0_model=IdealMetal())
-    e_bare = free_energy_per_area(geom, T, model=Bare(), tolerances=tolerances)
-    return energy_ratio(e_pc.value, e_bare.value)
-
-
-def ideal_metal_n0_tm_energy(d: float, T: float) -> float:
-    """Analytic n = 0 TM term for ideal metals: -kB T zeta(3)/(16 pi d^2)."""
-    return -phys.K_B * T * ZETA3 / (16.0 * math.pi * d * d)
-
-
-def ideal_metal_n0_tm_pressure(d: float, T: float) -> float:
-    """Analytic n = 0 TM pressure term for ideal metals: kB T zeta(3)/(8 pi d^3)."""
-    return phys.K_B * T * ZETA3 / (8.0 * math.pi * d**3)

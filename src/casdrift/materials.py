@@ -10,7 +10,7 @@ Built-in parameter sets for intrinsic Ge and Si are provided.  Electrons and
 holes are treated as dynamically equivalent carriers, which doubles the
 charge density entering the screening and conductivity quantities; the
 doubling is applied once, in :func:`carrier_density`, so every derived
-quantity (kappa^2, sigma_0, omega_c) sees the same density and the
+quantity (kappa^2, sigma_0) sees the same density and the
 definitional closures hold identically.
 
 The fitted transport models are quoted for roughly 20-300 K; this module
@@ -21,7 +21,7 @@ than failing) outside it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -42,7 +42,6 @@ __all__ = [
     "carrier_density",
     "relaxation_time",
     "material_state",
-    "omega_c",
     "get_material",
 ]
 
@@ -272,24 +271,3 @@ def _material_state_cached(spec: MaterialSpec, T: float) -> MaterialState:
     # MaterialSpec is frozen/hashable and material_state is pure.
     return material_state(spec, T)
 
-
-def zero_carrier(spec: MaterialSpec) -> MaterialSpec:
-    """Copy of ``spec`` with (numerically) frozen-out carriers.
-
-    Reduces the drift model to bare Fresnel; used by the ideal-dielectric
-    reduction checks.  The density-of-states prefactors stay positive (the
-    constructor requires it); instead the gap is made large enough that n0
-    underflows to exactly 0 at any representable temperature.
-    """
-    return replace(spec, gap_E0=1.0e6, name=f"{spec.name}+n0=0")
-
-
-def omega_c(state: MaterialState, spec: MaterialSpec, xi: float) -> float:
-    """Screening frequency omega_c(xi) = 4 pi sigma0 / eps(i xi) [rad/s].
-
-    Satisfies omega_c/D = 4 pi e^2 n0 / (eps(i xi) kB T), which reduces to
-    kappa^2 in the static limit.
-    """
-    if not math.isfinite(xi) or xi < 0.0:
-        raise DomainError(f"imaginary frequency must be >= 0, got {xi!r}")
-    return 4.0 * math.pi * state.sigma0 / bare_eps(spec, xi)

@@ -51,16 +51,12 @@ from .materials import MaterialSpec, MaterialState, _material_state_cached
 
 __all__ = [
     "Mode",
-    "DriftQuantities",
     "Bare",
     "Conductivity",
     "Drift",
     "Nonlocal",
     "IdealMetal",
     "ReflectionModel",
-    "drift_quantities",
-    "r_tm",
-    "r_te",
     "amplitude_fn",
 ]
 
@@ -89,15 +85,6 @@ class Mode:
     @property
     def gamma0(self) -> float:
         return math.hypot(self.k, self.xi / phys.C_LIGHT)
-
-
-@dataclass(frozen=True)
-class DriftQuantities:
-    """Decay wavevectors and TM surface response of the drift model [1/cm]."""
-
-    eta_L: float
-    eta_T: float
-    chi: float
 
 
 # --- model tags -------------------------------------------------------------
@@ -163,9 +150,13 @@ def _defects(xi: float, state: MaterialState, eps_bar: float):
 
 
 def _drift_parts(xi, k, state: MaterialState, eps_bar, lib=math):
-    """(w, X, eta_L, eta_T, chi) at xi > 0; see :func:`drift_quantities`.
+    """(w, X, eta_L, eta_T, chi) at xi > 0.
 
-    ``lib`` is :mod:`math` for floats and numpy for arrays.
+    Writing X = eta_T^2 - k^2 and Y = eta_L^2 - k^2, the chi bracket is
+    rearranged as
+        eta_L eta_T - k^2 = (k^2 (X + Y) + X Y) / (eta_L eta_T + k^2),
+    which keeps the sigma0 = 0 identity chi == eta_T exact in floating
+    point.  ``lib`` is :mod:`math` for floats and numpy for arrays.
     """
     k2 = k * k
     w, X, Y = _defects(xi, state, eps_bar)
@@ -174,25 +165,6 @@ def _drift_parts(xi, k, state: MaterialState, eps_bar, lib=math):
     cross = (k2 * (X + Y) + X * Y) / (etaL_v * etaT_v + k2)  # eta_L eta_T - k^2
     chi_v = (k2 + eps_bar * w * cross / X) / etaL_v
     return w, X, etaL_v, etaT_v, chi_v
-
-
-def drift_quantities(mode: Mode, state: MaterialState, eps_bar: float) -> DriftQuantities:
-    """eta_L, eta_T and chi evaluated in a cancellation-free arrangement.
-
-    Writing X = eta_T^2 - k^2 and Y = eta_L^2 - k^2, the chi bracket is
-    rearranged as
-        eta_L eta_T - k^2 = (k^2 (X + Y) + X Y) / (eta_L eta_T + k^2),
-    which keeps the sigma0 = 0 identity chi == eta_T exact in floating
-    point.  At xi = 0 the analytic static values (eta_T = k,
-    chi = k^2/eta_L) are returned directly.
-    """
-    k = mode.k
-    if mode.xi == 0.0:
-        _, _, Y = _defects(0.0, state, eps_bar)
-        etaL_v = math.sqrt(k * k + Y)
-        return DriftQuantities(eta_L=etaL_v, eta_T=k, chi=k * k / etaL_v)
-    _, _, etaL_v, etaT_v, chi_v = _drift_parts(mode.xi, k, state, eps_bar)
-    return DriftQuantities(eta_L=etaL_v, eta_T=etaT_v, chi=chi_v)
 
 
 # --- Fresnel helpers ---------------------------------------------------------
@@ -226,8 +198,10 @@ def amplitude_fn(model: ReflectionModel, spec: MaterialSpec, T: float) -> Callab
 
     The returned closure owns the material state (computed once) and the
     per-model static branches; it is pure and safe to call from concurrent
-    workers.  This is the hot path used by the Lifshitz summation; the
-    spec-level ``r_tm``/``r_te`` operations delegate to it.
+    workers.  It is the one way the package evaluates an amplitude: the
+    Lifshitz summation, ``g_mode`` and the CLI all call it.  The static TE
+    amplitude is 0 for every model: the static TE field is purely magnetic
+    and fully penetrates a nonmagnetic medium.
 
     ``xi`` and ``k`` may be floats or numpy arrays that broadcast together;
     the static branch is taken for a float ``xi == 0``, so an array ``xi``
@@ -314,17 +288,3 @@ def amplitude_fn(model: ReflectionModel, spec: MaterialSpec, T: float) -> Callab
         return pair_nonlocal
 
     raise DomainError(f"unknown reflection model {model!r}")
-
-
-def r_tm(model: ReflectionModel, mode: Mode, spec: MaterialSpec, T: float) -> float:
-    """TM reflection amplitude for the given model at (xi, k)."""
-    return amplitude_fn(model, spec, T)(mode.xi, mode.k)[0]
-
-
-def r_te(model: ReflectionModel, mode: Mode, spec: MaterialSpec, T: float) -> float:
-    """TE reflection amplitude for the given model at (xi, k).
-
-    Zero at xi = 0 for every model with finite conductivity: the static TE
-    field is purely magnetic and fully penetrates a nonmagnetic medium.
-    """
-    return amplitude_fn(model, spec, T)(mode.xi, mode.k)[1]

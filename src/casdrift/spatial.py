@@ -31,10 +31,11 @@ amplitudes identically: H_te = gamma0/eta_T and H_tm = eps gamma0 / chi
 suite and the ``nonlocal-verify`` command).
 
 h_b and h_c have closed forms because eps_perp does not depend on q_z; h_a
-has one by partial fractions of the Lorentzian-in-q^2 eps_par.  The test
-suite checks all three against adaptive q_z quadrature.  The closed forms
+has one by partial fractions of the Lorentzian-in-q^2 eps_par, so the
+library evaluates eps_par only through that closed form.  The closed forms
 accept floats or numpy arrays, so the ``Nonlocal`` amplitude provider
-evaluates whole (xi, k) grids through them.
+evaluates whole (xi, k) grids through them.  The test suite holds all three
+against adaptive q_z quadrature of the tensor components.
 """
 
 from __future__ import annotations
@@ -47,15 +48,12 @@ import numpy as np
 from . import phys
 from .errors import DomainError, EvaluationError
 from .materials import MaterialSpec, MaterialState, bare_eps, _material_state_cached
-from .reflection import Drift, Mode, Nonlocal, amplitude_fn
+from .reflection import Drift, Nonlocal, amplitude_fn
 
 __all__ = [
     "DriftTensor",
-    "HFunctions",
     "eps_perp_drift",
-    "eps_par_drift",
     "make_drift_tensor",
-    "h_integrals",
     "r_from_H_tilde",
     "verify_equivalence",
 ]
@@ -69,33 +67,10 @@ def _any(mask) -> bool:
     return bool(mask.any()) if type(mask) is _ndarray else mask
 
 
-@dataclass(frozen=True)
-class HFunctions:
-    """The three surface integrals and the assembled H-functions at one mode.
-
-    The tilded fields hold ``h - h|_{eps==1}`` (and ``H - 1``) evaluated in
-    compensated form; near-unity media make the plain differences lose all
-    relative precision, while e.g. the TE amplitude is exactly
-    ``H_te_tilde / (2 + H_te_tilde)``.
-    """
-
-    h_a: float
-    h_b: float
-    h_c: float
-    h_tilde_a: float
-    h_tilde_b: float
-    h_tilde_c: float
-    H_tm: float
-    H_te: float
-    H_tm_tilde: float
-    H_te_tilde: float
-    gamma0: float
-
-
 # --- drift-model tensor components -------------------------------------------
 
 def eps_perp_drift(k, xi, state: MaterialState, eps_bar):
-    """Transverse drift permittivity eps(i xi)[1 + omega_c/(xi(1+xi tau))].
+    """Transverse drift permittivity eps(i xi) + 4 pi sigma0/(xi(1 + xi tau)).
 
     Independent of k.  Satisfies k^2 + eps_perp xi^2/c^2 = eta_T^2 exactly.
     xi = 0 is a domain error (the conduction term diverges; use the static
@@ -109,33 +84,13 @@ def eps_perp_drift(k, xi, state: MaterialState, eps_bar):
     return eps_bar + _FOURPI * state.sigma0 / (xi * (1.0 + xi * state.tau))
 
 
-def eps_par_drift(k: float, xi: float, state: MaterialState, eps_bar: float) -> float:
-    """Longitudinal drift permittivity at wavevector magnitude k.
-
-    eps(i xi) + 4 pi sigma0 / (xi (1 + xi tau) + D k^2); its zero in the
-    (analytically continued) wavevector is the longitudinal branch eta_L.
-    Limits: eps0 [1 + 1/(k R_D)^2] as xi -> 0, and the bare eps(i xi) when
-    the carriers are removed.
-    """
-    if xi <= 0.0:
-        raise DomainError(
-            "eps_par_drift requires xi > 0; use the static uniaxial tensor "
-            "for the xi = 0 term"
-        )
-    if k <= 0.0:
-        raise DomainError(f"wavevector must be > 0, got {k!r}")
-    return eps_bar + _FOURPI * state.sigma0 / (
-        xi * (1.0 + xi * state.tau) + state.D * k * k
-    )
-
-
 @dataclass(frozen=True)
 class DriftTensor:
     """Drift permittivity tensor diag(eps_perp, eps_perp, eps_par) at one T.
 
-    ``eps_perp(q, xi)`` and ``eps_par(q, xi)`` take the wavevector magnitude
-    [1/cm] and imaginary frequency [rad/s]; in-plane evaluation passes
-    q = k.  eps_par varies with q (Debye screening); ``h_a`` is the exact
+    ``eps_perp(q, xi)`` takes the wavevector magnitude [1/cm] and imaginary
+    frequency [rad/s]; in-plane evaluation passes q = k.  eps_par varies
+    with q (Debye screening) and enters only through ``h_a``, the exact
     closed form of its longitudinal integral.
     """
 
@@ -144,9 +99,6 @@ class DriftTensor:
 
     def eps_perp(self, q: float, xi: float) -> float:
         return eps_perp_drift(q, xi, self.state, bare_eps(self.spec, xi))
-
-    def eps_par(self, q: float, xi: float) -> float:
-        return eps_par_drift(q, xi, self.state, bare_eps(self.spec, xi))
 
     def h_a(self, k, xi, lib=math):
         """h_a = (a0 + kq^2 k/eta_L) / (eps (a0 + kq^2)).
@@ -169,27 +121,6 @@ def make_drift_tensor(spec: MaterialSpec, T: float) -> DriftTensor:
 
 
 # --- the three q_z integrals ---------------------------------------------------
-
-def h_integrals(tensor: DriftTensor, mode: Mode) -> HFunctions:
-    """Evaluate h_a, h_b, h_c in closed form and assemble H_tm, H_te.
-
-    Tilded combinations subtract the eps == 1 evaluation, which equals 1
-    for all three integrals.
-    """
-    if mode.xi <= 0.0:
-        raise DomainError("h-integrals are defined for xi > 0")
-    k, xi = mode.k, mode.xi
-    ht_a, ht_b, ht_c, g, w = _h_tildes(tensor, xi, k)
-    Ht_tm = _assemble_H_tm_tilde(ht_a, ht_b, ht_c, k, g, w, xi)
-    h_b = 1.0 + ht_b
-    return HFunctions(
-        h_a=1.0 + ht_a, h_b=h_b, h_c=1.0 + ht_c,
-        h_tilde_a=ht_a, h_tilde_b=ht_b, h_tilde_c=ht_c,
-        H_tm=1.0 + Ht_tm, H_te=h_b,
-        H_tm_tilde=Ht_tm, H_te_tilde=ht_b,
-        gamma0=g,
-    )
-
 
 def _h_tildes(tensor, xi, k, lib=math):
     """(h~_a, h~_b, h~_c, gamma0, w) at xi > 0 for floats or arrays."""

@@ -7,14 +7,11 @@ the implicit dependence of the reflection amplitudes through the material
 state (carrier density, screening, relaxation).  Analytic low-temperature
 decompositions are deliberately not implemented; their predictions (TE
 contribution vanishing like T^2 with a negative coefficient, TM linear in T
-with a positive slope, S -> 0 overall) are checked instead through
-finite-difference probes of the mode function
-
-    g^p(i xi, k) = ln[1 - r1 r2 exp(-2 d gamma0)]
-
-near xi = 0 and through entropy sweeps down to desk-scale temperatures
-(the Matsubara cap stops a little short of T = 0; the Nernst statement is
-verified as a trend and reported as such).
+with a positive slope, S -> 0 overall) are checked instead through entropy
+sweeps down to desk-scale temperatures (the Matsubara cap stops a little
+short of T = 0; the Nernst statement is verified as a trend and reported as
+such).  The test suite also probes the xi-derivatives of the mode function
+:func:`casdrift.lifshitz.g_mode` near xi = 0.
 
 Entropy evaluations default to tighter engine tolerances than plain energy
 runs: the finite difference divides the free-energy noise by the step, and
@@ -27,17 +24,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import phys
-from .errors import DomainError, ProbeError
-from .lifshitz import Geometry, Tolerances, free_energy_per_area, g_mode
-from .reflection import Mode, ReflectionModel
+from .errors import DomainError
+from .lifshitz import Geometry, Tolerances, free_energy_per_area
+from .reflection import ReflectionModel
 
 __all__ = [
     "EntropyPoint",
-    "GProbe",
     "NernstReport",
     "entropy",
-    "g_probe",
     "nernst_sweep",
 ]
 
@@ -54,22 +48,6 @@ class EntropyPoint:
     fd_step: float
     richardson_error: float
     warnings: tuple = ()
-
-
-@dataclass(frozen=True)
-class GProbe:
-    """One-sided xi -> 0+ derivatives of g^p at fixed k.
-
-    theta = 2 pi kB T / hbar [rad/s]; g0 is the static value, g_xi [s] and
-    g_xixi [s^2] the first and second xi-derivatives at xi = 0.
-    """
-
-    p: str
-    k: float
-    theta: float
-    g0: float
-    g_xi: float
-    g_xixi: float
 
 
 @dataclass(frozen=True)
@@ -122,45 +100,6 @@ def entropy(geom: Geometry, T: float,
         )
     return EntropyPoint(T=T, S=S, fd_step=fd_step,
                         richardson_error=rich_err, warnings=tuple(warnings))
-
-
-def g_probe(p: str, k: float, geom: Geometry, T: float,
-            model: Optional[ReflectionModel] = None) -> GProbe:
-    """First and second xi-derivatives of g^p at xi -> 0+ for one k.
-
-    One-sided four-point stencils on xi = {0, 1, 2, 3} h with
-    h = 1e-4 xi_1(T); both derivative estimates are cross-checked against a
-    half-step stencil and a ProbeError is raised if they disagree beyond
-    the stencil's own scale.
-    """
-    if k <= 0.0:
-        raise DomainError(f"k must be > 0, got {k!r}")
-    theta = 2.0 * math.pi * phys.K_B * T / phys.HBAR
-    h0 = 1.0e-4 * phys.matsubara_xi(1, T)
-
-    def stencil(h: float):
-        g = [g_mode(p, Mode(xi=j * h, k=k), geom, T, model) for j in range(4)]
-        g_xi = (-11.0 * g[0] + 18.0 * g[1] - 9.0 * g[2] + 2.0 * g[3]) / (6.0 * h)
-        g_xixi = (2.0 * g[0] - 5.0 * g[1] + 4.0 * g[2] - g[3]) / (h * h)
-        return g, g_xi, g_xixi
-
-    gv, gxi_a, gxx_a = stencil(h0)
-    _, gxi_b, gxx_b = stencil(0.5 * h0)
-    if not all(map(math.isfinite, (gxi_a, gxi_b, gxx_a, gxx_b))):
-        raise ProbeError(f"non-finite probe values for {p} at k={k:.3e}")
-    # Agreement scale: a genuine derivative reproduces within ~|g_xi| between
-    # steps; an identically vanishing one only resolves down to the
-    # curvature-step scale |g_xixi| h, or to max|g|/h when g itself vanishes
-    # to higher order at xi = 0 (e.g. the quartic TE mode function of an
-    # ideal dielectric).
-    g_scale = max(abs(v) for v in gv)
-    scale = max(abs(gxi_b), abs(gxx_b) * h0, g_scale / h0, 1e-300)
-    if abs(gxi_a - gxi_b) > scale:
-        raise ProbeError(
-            f"stencil non-convergence for {p} g_xi at k={k:.3e}: "
-            f"h-step {gxi_a:.6e} vs h/2-step {gxi_b:.6e}"
-        )
-    return GProbe(p=p.upper(), k=k, theta=theta, g0=gv[0], g_xi=gxi_b, g_xixi=gxx_b)
 
 
 def nernst_sweep(geom: Geometry, model: Optional[ReflectionModel],

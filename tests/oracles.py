@@ -1,4 +1,4 @@
-"""Reference implementations that the tests compare the library against.
+"""Reference implementations and verification helpers used only by the tests.
 
 None of this is needed to compute a number; each function re-derives a
 library result by an independent route:
@@ -16,21 +16,34 @@ library result by an independent route:
 * :func:`term_integrals_quad` -- one Matsubara term's u-integrals by
   scalar adaptive quadrature, one polarization at a time, against which
   the blocked Gauss-Kronrod engine of :mod:`casdrift.lifshitz` is held.
+
+The rest are verification helpers that only the tests call: the drift
+quantities and H-functions as records (:func:`drift_quantities`,
+:func:`h_integrals`), the longitudinal tensor component the q_z quadrature
+needs (:func:`full_drift_tensor`), the xi-stencil probe of the mode function
+(:func:`g_probe`), the exact ideal-metal n = 0 TM terms, the n = 0 swaps
+of the single-mode analysis (:func:`pc_n0_ratio_asymptote`,
+:func:`n0_swapped_energy`) and the carrier-free material
+(:func:`zero_carrier`) with the screening frequency (:func:`omega_c`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 import mpmath as mp
 from scipy.integrate import quad
 
 from casdrift import phys
 from casdrift.errors import CasdriftError, DomainError, EvaluationError
-from casdrift.reflection import Mode
-from casdrift.spatial import HFunctions, _assemble_H_tm_tilde
+from casdrift.lifshitz import Geometry, Tolerances, free_energy_per_area, g_mode
+from casdrift.materials import (
+    MaterialSpec, MaterialState, _material_state_cached, bare_eps)
+from casdrift.reflection import (
+    Bare, Mode, ReflectionModel, _defects, _drift_parts)
+from casdrift.spatial import DriftTensor, _assemble_H_tm_tilde, _h_tildes
 
 
 class OracleError(CasdriftError):
@@ -53,6 +66,10 @@ class IntegrationError(CasdriftError):
         self.achieved = achieved
 
 
+class ProbeError(CasdriftError):
+    """A finite-difference probe stencil did not behave consistently."""
+
+
 # --- textbook surface response -------------------------------------------------
 
 def chi(mode: Mode, etaL: float, etaT: float, eps_bar: float) -> float:
@@ -72,6 +89,32 @@ def chi(mode: Mode, etaL: float, etaT: float, eps_bar: float) -> float:
         )
     w = (mode.xi / phys.C_LIGHT) ** 2
     return (k2 + eps_bar * w * (etaL * etaT - k2) / den) / etaL
+
+
+# --- drift quantities as a record ------------------------------------------------
+
+@dataclass(frozen=True)
+class DriftQuantities:
+    """Decay wavevectors and TM surface response of the drift model [1/cm]."""
+
+    eta_L: float
+    eta_T: float
+    chi: float
+
+
+def drift_quantities(mode: Mode, state: MaterialState, eps_bar: float) -> DriftQuantities:
+    """eta_L, eta_T and chi from the library's cancellation-free arrangement.
+
+    ``casdrift.reflection._drift_parts`` at xi > 0; at xi = 0 the analytic
+    static values (eta_T = k, chi = k^2/eta_L) are returned directly.
+    """
+    k = mode.k
+    if mode.xi == 0.0:
+        _, _, Y = _defects(0.0, state, eps_bar)
+        etaL_v = math.sqrt(k * k + Y)
+        return DriftQuantities(eta_L=etaL_v, eta_T=k, chi=k * k / etaL_v)
+    _, _, etaL_v, etaT_v, chi_v = _drift_parts(mode.xi, k, state, eps_bar)
+    return DriftQuantities(eta_L=etaL_v, eta_T=etaT_v, chi=chi_v)
 
 
 # --- boundary-condition oracle ------------------------------------------------
@@ -166,6 +209,91 @@ def r_oracle_bc(mode: Mode, etaL, etaT, eps_bar, full: bool = False):
         return float(r_z), float(r_te_v)
 
 
+# --- the surface integrals in closed form, as a record ---------------------------
+
+@dataclass(frozen=True)
+class HFunctions:
+    """The three surface integrals and the assembled H-functions at one mode.
+
+    The tilded fields hold ``h - h|_{eps==1}`` (and ``H - 1``) evaluated in
+    compensated form; near-unity media make the plain differences lose all
+    relative precision, while e.g. the TE amplitude is exactly
+    ``H_te_tilde / (2 + H_te_tilde)``.
+    """
+
+    h_a: float
+    h_b: float
+    h_c: float
+    h_tilde_a: float
+    h_tilde_b: float
+    h_tilde_c: float
+    H_tm: float
+    H_te: float
+    H_tm_tilde: float
+    H_te_tilde: float
+    gamma0: float
+
+
+def h_integrals(tensor: DriftTensor, mode: Mode) -> HFunctions:
+    """Evaluate h_a, h_b, h_c in closed form and assemble H_tm, H_te.
+
+    Tilded combinations subtract the eps == 1 evaluation, which equals 1
+    for all three integrals.
+    """
+    if mode.xi <= 0.0:
+        raise DomainError("h-integrals are defined for xi > 0")
+    k, xi = mode.k, mode.xi
+    ht_a, ht_b, ht_c, g, w = _h_tildes(tensor, xi, k)
+    Ht_tm = _assemble_H_tm_tilde(ht_a, ht_b, ht_c, k, g, w, xi)
+    h_b = 1.0 + ht_b
+    return HFunctions(
+        h_a=1.0 + ht_a, h_b=h_b, h_c=1.0 + ht_c,
+        h_tilde_a=ht_a, h_tilde_b=ht_b, h_tilde_c=ht_c,
+        H_tm=1.0 + Ht_tm, H_te=h_b,
+        H_tm_tilde=Ht_tm, H_te_tilde=ht_b,
+        gamma0=g,
+    )
+
+
+# --- the longitudinal drift component ------------------------------------------
+
+def eps_par_drift(k: float, xi: float, state: MaterialState, eps_bar: float) -> float:
+    """Longitudinal drift permittivity at wavevector magnitude k.
+
+    eps(i xi) + 4 pi sigma0 / (xi (1 + xi tau) + D k^2); its zero in the
+    (analytically continued) wavevector is the longitudinal branch eta_L.
+    Limits: eps0 [1 + 1/(k R_D)^2] as xi -> 0, and the bare eps(i xi) when
+    the carriers are removed.
+    """
+    if xi <= 0.0:
+        raise DomainError(
+            "eps_par_drift requires xi > 0; use the static uniaxial tensor "
+            "for the xi = 0 term"
+        )
+    if k <= 0.0:
+        raise DomainError(f"wavevector must be > 0, got {k!r}")
+    return eps_bar + 4.0 * math.pi * state.sigma0 / (
+        xi * (1.0 + xi * state.tau) + state.D * k * k
+    )
+
+
+@dataclass(frozen=True)
+class FullDriftTensor(DriftTensor):
+    """The library's drift tensor plus the q-dependent ``eps_par`` component.
+
+    The library needs eps_par only through the closed form ``h_a``; the
+    q_z quadrature integrates the component itself.
+    """
+
+    def eps_par(self, q: float, xi: float) -> float:
+        return eps_par_drift(q, xi, self.state, bare_eps(self.spec, xi))
+
+
+def full_drift_tensor(spec: MaterialSpec, T: float) -> FullDriftTensor:
+    """Drift tensor with eps_par, on the library's cached material state."""
+    return FullDriftTensor(spec=spec, state=_material_state_cached(spec, T))
+
+
 # --- q_z quadrature of the surface integrals -----------------------------------
 
 @dataclass(frozen=True)
@@ -173,7 +301,7 @@ class ConstantTensor:
     """Uniaxial tensor with q- and xi-independent components.
 
     Offers the same ``eps_perp``/``eps_par``/``h_a`` methods as
-    :class:`casdrift.spatial.DriftTensor`, so ``h_integrals`` accepts it;
+    :class:`FullDriftTensor`, so ``h_integrals`` accepts it;
     for a constant eps_par the longitudinal integral is exactly 1/eps_par.
     """
 
@@ -316,3 +444,125 @@ def term_integrals_quad(kind: str, d: float, xi: float, pair1, pair2,
              epsrel=quad_rel, limit=300)[0]
         for idx in (0, 1)
     )
+
+
+# --- ideal-metal n = 0 TM terms and the n = 0 swaps -------------------------------
+
+ZETA3 = 1.2020569031595943
+
+
+def ideal_metal_n0_tm_energy(d: float, T: float) -> float:
+    """Analytic n = 0 TM term for ideal metals: -kB T zeta(3)/(16 pi d^2)."""
+    return -phys.K_B * T * ZETA3 / (16.0 * math.pi * d * d)
+
+
+def ideal_metal_n0_tm_pressure(d: float, T: float) -> float:
+    """Analytic n = 0 TM pressure term for ideal metals: kB T zeta(3)/(8 pi d^3)."""
+    return phys.K_B * T * ZETA3 / (8.0 * math.pi * d**3)
+
+
+def _n0_term(res) -> float:
+    """The n = 0 term (TE + TM, half weight applied) of a SummationResult."""
+    return res.per_n_terms[0][1] + res.per_n_terms[0][2]
+
+
+def pc_n0_ratio_asymptote(geom: Geometry, T: float,
+                          tolerances: Optional[Tolerances] = None) -> float:
+    """Ratio obtained by replacing the bare n = 0 TM term with the ideal-metal one.
+
+    Reference level that the drift (d >> R_D) and conductivity (d >~
+    lambda_T) ratio curves approach: bare amplitudes everywhere except a
+    perfectly reflecting n = 0 TM mode.
+    """
+    e_bare = free_energy_per_area(geom, T, model=Bare(), tolerances=tolerances)
+    e_pc = e_bare.value - e_bare.per_n_terms[0][2] + ideal_metal_n0_tm_energy(geom.d, T)
+    return e_pc / e_bare.value
+
+
+def n0_swapped_energy(geom: Geometry, T: float, n0_model: ReflectionModel,
+                      tolerances: Optional[Tolerances] = None) -> float:
+    """Bare free energy with its n = 0 term taken from ``n0_model``."""
+    e_bare = free_energy_per_area(geom, T, model=Bare(), tolerances=tolerances)
+    e_n0 = free_energy_per_area(geom, T, model=n0_model, tolerances=tolerances)
+    return e_bare.value - _n0_term(e_bare) + _n0_term(e_n0)
+
+
+# --- xi-stencil probe of the mode function -------------------------------------
+
+@dataclass(frozen=True)
+class GProbe:
+    """One-sided xi -> 0+ derivatives of g^p at fixed k.
+
+    theta = 2 pi kB T / hbar [rad/s]; g0 is the static value, g_xi [s] and
+    g_xixi [s^2] the first and second xi-derivatives at xi = 0.
+    """
+
+    p: str
+    k: float
+    theta: float
+    g0: float
+    g_xi: float
+    g_xixi: float
+
+
+def g_probe(p: str, k: float, geom: Geometry, T: float,
+            model: Optional[ReflectionModel] = None) -> GProbe:
+    """First and second xi-derivatives of g^p at xi -> 0+ for one k.
+
+    One-sided four-point stencils on xi = {0, 1, 2, 3} h with
+    h = 1e-4 xi_1(T); both derivative estimates are cross-checked against a
+    half-step stencil and a ProbeError is raised if they disagree beyond
+    the stencil's own scale.
+    """
+    if k <= 0.0:
+        raise DomainError(f"k must be > 0, got {k!r}")
+    theta = 2.0 * math.pi * phys.K_B * T / phys.HBAR
+    h0 = 1.0e-4 * phys.matsubara_xi(1, T)
+
+    def stencil(h: float):
+        g = [g_mode(p, Mode(xi=j * h, k=k), geom, T, model) for j in range(4)]
+        g_xi = (-11.0 * g[0] + 18.0 * g[1] - 9.0 * g[2] + 2.0 * g[3]) / (6.0 * h)
+        g_xixi = (2.0 * g[0] - 5.0 * g[1] + 4.0 * g[2] - g[3]) / (h * h)
+        return g, g_xi, g_xixi
+
+    gv, gxi_a, gxx_a = stencil(h0)
+    _, gxi_b, gxx_b = stencil(0.5 * h0)
+    if not all(map(math.isfinite, (gxi_a, gxi_b, gxx_a, gxx_b))):
+        raise ProbeError(f"non-finite probe values for {p} at k={k:.3e}")
+    # Agreement scale: a genuine derivative reproduces within ~|g_xi| between
+    # steps; an identically vanishing one only resolves down to the
+    # curvature-step scale |g_xixi| h, or to max|g|/h when g itself vanishes
+    # to higher order at xi = 0 (e.g. the quartic TE mode function of an
+    # ideal dielectric).
+    g_scale = max(abs(v) for v in gv)
+    scale = max(abs(gxi_b), abs(gxx_b) * h0, g_scale / h0, 1e-300)
+    if abs(gxi_a - gxi_b) > scale:
+        raise ProbeError(
+            f"stencil non-convergence for {p} g_xi at k={k:.3e}: "
+            f"h-step {gxi_a:.6e} vs h/2-step {gxi_b:.6e}"
+        )
+    return GProbe(p=p.upper(), k=k, theta=theta, g0=gv[0], g_xi=gxi_b, g_xixi=gxx_b)
+
+
+# --- materials -------------------------------------------------------------------
+
+def zero_carrier(spec: MaterialSpec) -> MaterialSpec:
+    """Copy of ``spec`` with (numerically) frozen-out carriers.
+
+    Reduces the drift model to bare Fresnel; used by the ideal-dielectric
+    reduction checks.  The density-of-states prefactors stay positive (the
+    constructor requires it); instead the gap is made large enough that n0
+    underflows to exactly 0 at any representable temperature.
+    """
+    return replace(spec, gap_E0=1.0e6, name=f"{spec.name}+n0=0")
+
+
+def omega_c(state: MaterialState, spec: MaterialSpec, xi: float) -> float:
+    """Screening frequency omega_c(xi) = 4 pi sigma0 / eps(i xi) [rad/s].
+
+    Satisfies omega_c/D = 4 pi e^2 n0 / (eps(i xi) kB T), which reduces to
+    kappa^2 in the static limit.
+    """
+    if not math.isfinite(xi) or xi < 0.0:
+        raise DomainError(f"imaginary frequency must be >= 0, got {xi!r}")
+    return 4.0 * math.pi * state.sigma0 / bare_eps(spec, xi)

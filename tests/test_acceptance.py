@@ -20,8 +20,6 @@ from casdrift.lifshitz import (
     Geometry,
     Tolerances,
     free_energy_per_area,
-    ideal_metal_n0_tm_energy,
-    pc_n0_ratio_asymptote,
     pressure,
     ratio_to_bare,
 )
@@ -33,22 +31,24 @@ from casdrift.materials import (
     get_material,
     material_state,
     relaxation_time,
-    zero_carrier,
 )
-from casdrift.reflection import (
-    Bare,
-    Drift,
-    IdealMetal,
-    Mode,
-    amplitude_fn,
-    drift_quantities,
-    r_te,
-)
-from casdrift.spatial import h_integrals, make_drift_tensor, verify_equivalence
-from casdrift.thermo import g_probe, nernst_sweep
+from casdrift.reflection import Bare, Drift, IdealMetal, Mode, amplitude_fn
+from casdrift.spatial import verify_equivalence
+from casdrift.thermo import nernst_sweep
 
 from conftest import logspace, neville_to_zero, rel
-from oracles import h_integrals_quadrature, r_oracle_bc
+from oracles import (
+    drift_quantities,
+    full_drift_tensor,
+    g_probe,
+    h_integrals,
+    h_integrals_quadrature,
+    ideal_metal_n0_tm_energy,
+    n0_swapped_energy,
+    pc_n0_ratio_asymptote,
+    r_oracle_bc,
+    zero_carrier,
+)
 
 XI1_300 = phys.matsubara_xi(1, 300.0)
 UM = phys.CM_PER_UM
@@ -101,7 +101,7 @@ def test_criterion_03_static_limits():
     # r_TE(0) = 0 exactly, every model, across k
     models = [Bare(), parse_model("cond", GE, None), Drift()]
     te_ok = all(
-        r_te(m, Mode(xi=0.0, k=k), GE, 300.0) == 0.0
+        amplitude_fn(m, GE, 300.0)(0.0, k)[1] == 0.0
         for m in models for k in logspace(1e2, 1e6, 9))
     # drift r_TM(xi -> 0) extrapolated along xi = 10^-m xi_1 matches the
     # screened static form over k in [1e2, 1e6]
@@ -154,7 +154,7 @@ def test_criterion_05_boundary_condition_oracle():
 def test_criterion_06_nonlocal_equivalence():
     t0 = time.monotonic()
     _, max_rel = verify_equivalence(GE, 300.0, n_k=20, n_xi=20)
-    tensor = make_drift_tensor(GE, 300.0)
+    tensor = full_drift_tensor(GE, 300.0)
     worst_h = 0.0
     for k in (1e3, 3e4, 1e6):
         for xi in (0.03 * XI1_300, XI1_300, 40 * XI1_300):
@@ -268,8 +268,7 @@ def test_criterion_09_single_mode_claim():
         for d_um in (0.5, 1.0, 3.0, 10.0):
             geom = Geometry.identical(d_um * UM, spec)
             full = free_energy_per_area(geom, 300.0, model=Drift()).value
-            hybrid = free_energy_per_area(geom, 300.0, model=Bare(),
-                                          n0_model=Drift()).value
+            hybrid = n0_swapped_energy(geom, 300.0, Drift())
             worst = max(worst, abs(hybrid - full) / abs(full))
     ok = worst < 1e-3
     report("9 (only n=0 TM modified)", ok, f"worst rel change {worst:.2e}")

@@ -25,8 +25,12 @@ import casdrift
 for info in pkgutil.iter_modules(casdrift.__path__):
     importlib.import_module(f"casdrift.{info.name}")
 from casdrift import cli
-rc = cli.main(["materials", "--material", "Ge"])
-sys.exit(rc or cli.main(["energy", "--material", "Ge", "--model", "drift", "--d", "1"]))
+rc = 0
+for argv in (["materials", "--material", "Ge"],
+             ["energy", "--material", "Ge", "--model", "drift", "--d", "1"],
+             ["modeplot", "--material", "Ge", "--T-list", "300"]):
+    rc = rc or cli.main(argv)
+sys.exit(rc)
 """
 
 
@@ -38,3 +42,4 @@ def test_runs_without_test_extras():
     assert proc.returncode == 0, proc.stderr
     assert "n0" in proc.stdout
     assert "E_erg_cm2" in proc.stdout
+    assert "T_K,polarization,xi_rad_s,k_cm,g" in proc.stdout

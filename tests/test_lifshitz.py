@@ -5,17 +5,14 @@ import mpmath as mp
 import pytest
 
 from casdrift import lifshitz, phys
+from casdrift.config import parse_model
 from casdrift.errors import DomainError, NormalizationError, SummationError
 from casdrift.lifshitz import (
     Geometry,
     Plate,
     Tolerances,
-    ZETA3,
     free_energy_per_area,
     g_mode,
-    ideal_metal_n0_tm_energy,
-    ideal_metal_n0_tm_pressure,
-    pc_n0_ratio_asymptote,
     pressure,
     ratio_to_bare,
 )
@@ -24,10 +21,18 @@ from casdrift.reflection import (
     Bare, Conductivity, Drift, IdealMetal, Mode, Nonlocal, amplitude_fn)
 
 from conftest import assert_close
-from oracles import term_integrals_quad
+from oracles import (
+    ZETA3,
+    ideal_metal_n0_tm_energy,
+    ideal_metal_n0_tm_pressure,
+    n0_swapped_energy,
+    pc_n0_ratio_asymptote,
+    term_integrals_quad,
+)
 
 D_1UM = 1e-4
 TIGHT = Tolerances(quad_rel=1e-10, sum_rel=1e-12)
+MODEL_NAMES = ("bare", "cond", "drift", "nonlocal")
 
 # Frozen reference values for the full drift free energy / pressure at
 # d = 1 um, T = 300 K, computed with an independent 30-digit brute-force
@@ -84,15 +89,19 @@ class TestFrozenOracleValues:
 
 class TestPressureEnergyConsistency:
     def test_pressure_is_distance_derivative(self):
-        geom = Geometry.identical(D_1UM, GE, Drift())
-        p = pressure(geom, 300.0, tolerances=TIGHT).value
-        h = D_1UM / 1000.0
-        e_plus = free_energy_per_area(
-            Geometry.identical(D_1UM + h, GE, Drift()), 300.0, tolerances=TIGHT)
-        e_minus = free_energy_per_area(
-            Geometry.identical(D_1UM - h, GE, Drift()), 300.0, tolerances=TIGHT)
-        dEdd = (e_plus.value - e_minus.value) / (2 * h)
-        assert_close(p, dEdd, 1e-5)
+        # every model, both materials, d = 0.3, 1, 3 um, 300 and 77 K
+        cases = [(name, spec, d, T) for name in MODEL_NAMES for spec in (GE, SI)
+                 for d in (0.3e-4, D_1UM, 3e-4) for T in (300.0, 77.0)]
+        for name, spec, d, T in cases:
+            model = parse_model(name, spec, None)
+            p = pressure(Geometry.identical(d, spec, model), T, tolerances=TIGHT).value
+            h = d / 1000.0
+            e_plus = free_energy_per_area(
+                Geometry.identical(d + h, spec, model), T, tolerances=TIGHT)
+            e_minus = free_energy_per_area(
+                Geometry.identical(d - h, spec, model), T, tolerances=TIGHT)
+            dEdd = (e_plus.value - e_minus.value) / (2 * h)
+            assert_close(p, dEdd, 1e-5, what=f"{name} {spec.name} d={d} T={T}")
 
 
 class TestShapeAndBookkeeping:
@@ -135,10 +144,25 @@ class TestShapeAndBookkeeping:
         assert res.n_truncated_at >= 4
 
     def test_tolerance_halving_within_reported_estimate(self):
+        # every model, both materials, energy and pressure
+        cases = [(name, spec, op, quad_rel) for name in MODEL_NAMES
+                 for spec in (GE, SI) for op in (free_energy_per_area, pressure)
+                 for quad_rel in (1e-6, 1e-8, 1e-10)]
+        for name, spec, op, quad_rel in cases:
+            geom = Geometry.identical(D_1UM, spec, parse_model(name, spec, None))
+            a = op(geom, 300.0, tolerances=Tolerances(quad_rel, 1e-8))
+            b = op(geom, 300.0, tolerances=Tolerances(0.5 * quad_rel, 1e-8))
+            what = (name, spec.name, op.__name__, quad_rel)
+            assert abs(a.value - b.value) <= a.quadrature_error_estimate + 1e-30, what
+
+    @pytest.mark.parametrize("T", [0.1, 1.0, 10.0, 300.0])
+    def test_sum_rel_halving_within_reported_estimate(self, T):
+        # at 0.1 K successive terms shrink by only rho = 0.99947, so the tail
+        # past the stop is about 1/(1 - rho) times the last term
         geom = Geometry.identical(D_1UM, GE, Drift())
-        a = free_energy_per_area(geom, 300.0, tolerances=Tolerances(1e-6, 1e-8))
-        b = free_energy_per_area(geom, 300.0, tolerances=Tolerances(5e-7, 1e-8))
-        assert abs(a.value - b.value) <= a.quadrature_error_estimate + 1e-30
+        a = free_energy_per_area(geom, T, tolerances=Tolerances(1e-10, 2e-12))
+        b = free_energy_per_area(geom, T, tolerances=Tolerances(1e-10, 1e-12))
+        assert abs(a.value - b.value) <= a.truncation_error_estimate
 
     def test_near_vacuum_plates_give_near_zero(self):
         ghost = replace(
@@ -347,9 +371,8 @@ class TestSingleModeClaim:
             for d in (0.5e-4, 1e-4, 10e-4):
                 geom = Geometry.identical(d, spec)
                 full = free_energy_per_area(geom, 300.0, model=Drift())
-                hybrid = free_energy_per_area(geom, 300.0, model=Bare(),
-                                              n0_model=Drift())
-                assert abs(hybrid.value - full.value) < 1e-3 * abs(full.value)
+                hybrid = n0_swapped_energy(geom, 300.0, Drift())
+                assert abs(hybrid - full.value) < 1e-3 * abs(full.value)
 
     def test_drift_and_cond_differ_mostly_in_n0(self):
         cond = Conductivity(sigma0=phys.sigma_gaussian(1 / 43))

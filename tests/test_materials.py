@@ -14,12 +14,11 @@ from casdrift.materials import (
     carrier_density,
     get_material,
     material_state,
-    omega_c,
     relaxation_time,
-    zero_carrier,
 )
 
 from conftest import assert_close, logspace
+from oracles import omega_c, zero_carrier
 
 
 class TestSellmeier:

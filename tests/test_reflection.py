@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from casdrift import phys
 from casdrift.errors import DomainError, EvaluationError
-from casdrift.materials import GE, SI, bare_eps, material_state, zero_carrier
+from casdrift.materials import GE, SI, bare_eps, material_state
 from casdrift.reflection import (
     Bare,
     Conductivity,
@@ -17,14 +17,11 @@ from casdrift.reflection import (
     Mode,
     Nonlocal,
     amplitude_fn,
-    drift_quantities,
-    r_te,
-    r_tm,
     _fresnel_pair,
 )
 
 from conftest import assert_close, logspace, neville_to_zero
-from oracles import chi, r_oracle_bc
+from oracles import chi, drift_quantities, r_oracle_bc, zero_carrier
 
 XI1 = phys.matsubara_xi(1, 300.0)
 ALL_MODELS = [Bare(), Conductivity(sigma0=2.09e10), Drift(), Nonlocal()]
@@ -153,18 +150,18 @@ class TestStaticLimits:
     @pytest.mark.parametrize("model", ALL_MODELS + [IdealMetal()])
     def test_te_vanishes_exactly_at_zero_frequency(self, model):
         for k in logspace(1e2, 1e6, 5):
-            assert r_te(model, Mode(xi=0.0, k=k), GE, 300.0) == 0.0
+            assert amplitude_fn(model, GE, 300.0)(0.0, k)[1] == 0.0
 
     def test_drift_static_value_at_k_equal_kappa(self):
         st_ = material_state(GE, 300.0)
-        r = r_tm(Drift(), Mode(xi=0.0, k=st_.kappa), GE, 300.0)
+        r = amplitude_fn(Drift(), GE, 300.0)(0.0, st_.kappa)[0]
         assert_close(r, (16.2 * math.sqrt(2) - 1) / (16.2 * math.sqrt(2) + 1), 1e-12)
 
     def test_conductivity_static_tm_is_perfect_reflector(self):
-        assert r_tm(Conductivity(sigma0=2e10), Mode(xi=0.0, k=1e4), GE, 300.0) == 1.0
+        assert amplitude_fn(Conductivity(sigma0=2e10), GE, 300.0)(0.0, 1e4)[0] == 1.0
 
     def test_bare_static_tm(self):
-        assert_close(r_tm(Bare(), Mode(xi=0.0, k=1e4), GE, 300.0),
+        assert_close(amplitude_fn(Bare(), GE, 300.0)(0.0, 1e4)[0],
                      (16.2 - 1) / (16.2 + 1), 1e-12)
 
     def test_drift_tm_limit_matches_static_branch(self):
@@ -180,11 +177,11 @@ class TestStaticLimits:
 
     def test_large_screening_perfect_conductor(self):
         st_ = material_state(GE, 300.0)
-        r = r_tm(Drift(), Mode(xi=0.0, k=1e-3 * st_.kappa), GE, 300.0)
+        r = amplitude_fn(Drift(), GE, 300.0)(0.0, 1e-3 * st_.kappa)[0]
         assert r > 0.999
 
     def test_static_tm_strictly_decreasing_in_k(self):
-        vals = [r_tm(Drift(), Mode(xi=0.0, k=k), GE, 300.0)
+        vals = [amplitude_fn(Drift(), GE, 300.0)(0.0, k)[0]
                 for k in logspace(1e2, 1e6, 25)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -225,7 +222,7 @@ class TestAmplitudes:
         g = math.hypot(k, XI1 / phys.C_LIGHT)
         eta = math.sqrt(k * k + eps_eff * (XI1 / phys.C_LIGHT) ** 2)
         ref = (g - eta) / (g + eta)
-        got = r_te(Drift(), Mode(xi=XI1, k=k), GE, 300.0)
+        got = amplitude_fn(Drift(), GE, 300.0)(XI1, k)[1]
         assert got < 0.0
         assert_close(got, ref, 1e-10)
 
@@ -342,10 +339,3 @@ def test_dispatch_rejects_unknown_model():
         __hash__ = object.__hash__
     with pytest.raises(DomainError):
         amplitude_fn(Fake(), GE, 300.0)  # type: ignore[arg-type]
-
-
-def test_spec_level_ops_delegate():
-    m = Mode(xi=XI1, k=1e4)
-    pair = amplitude_fn(Drift(), GE, 300.0)
-    assert r_tm(Drift(), m, GE, 300.0) == pair(XI1, 1e4)[0]
-    assert r_te(Drift(), m, GE, 300.0) == pair(XI1, 1e4)[1]

@@ -2,19 +2,27 @@ import pytest
 
 from casdrift import phys
 from casdrift.errors import DomainError, EvaluationError
-from casdrift.materials import GE, SI, bare_eps, material_state, zero_carrier
-from casdrift.reflection import Drift, Mode, amplitude_fn, drift_quantities
+from casdrift.materials import GE, SI, bare_eps, material_state
+from casdrift.reflection import Drift, Mode, amplitude_fn
 from casdrift.spatial import (
-    eps_par_drift,
     eps_perp_drift,
-    h_integrals,
     make_drift_tensor,
     r_from_H_tilde,
     verify_equivalence,
 )
 
 from conftest import assert_close, logspace
-from oracles import ConstantTensor, h_integrals_quadrature, r_from_H, unit_tensor
+from oracles import (
+    ConstantTensor,
+    drift_quantities,
+    eps_par_drift,
+    full_drift_tensor,
+    h_integrals,
+    h_integrals_quadrature,
+    r_from_H,
+    unit_tensor,
+    zero_carrier,
+)
 
 XI1 = phys.matsubara_xi(1, 300.0)
 GE_STATE = material_state(GE, 300.0)
@@ -107,7 +115,7 @@ class TestHIntegrals:
     def test_quadrature_matches_closed_drift_tensor(self):
         # the drift eps_par is genuinely q-dependent; its h_a closed form
         # comes from the tensor itself and the quadrature is the oracle
-        tensor = make_drift_tensor(GE, 300.0)
+        tensor = full_drift_tensor(GE, 300.0)
         for k in (1e3, 3e4, 1e6):
             for xi in (0.03 * XI1, XI1, 40 * XI1):
                 a = h_integrals(tensor, Mode(xi=xi, k=k))
@@ -132,7 +140,7 @@ class TestHIntegrals:
     def test_scale_separation_guard(self):
         # the quadrature oracle refuses xi/(c k) = 3e-17; the closed forms
         # need no guard and still give H_te = gamma0/eta_T
-        tensor = make_drift_tensor(GE, 300.0)
+        tensor = full_drift_tensor(GE, 300.0)
         m = Mode(xi=1.0, k=1e6)
         with pytest.raises(EvaluationError):
             h_integrals_quadrature(tensor, m)

@@ -7,9 +7,10 @@ from casdrift.errors import DomainError
 from casdrift.lifshitz import Geometry, free_energy_per_area
 from casdrift.materials import GE, SI
 from casdrift.reflection import Bare, Drift
-from casdrift.thermo import ENTROPY_TOL, entropy, g_probe, nernst_sweep
+from casdrift.thermo import ENTROPY_TOL, entropy, nernst_sweep
 
 from conftest import assert_close
+from oracles import g_probe
 
 D_1UM = 1e-4
 XI1 = phys.matsubara_xi(1, 300.0)
