@@ -43,13 +43,12 @@ from .materials import (
     material_state,
     relaxation_time,
 )
-from .phys import CODATA2018, Constants, matsubara_xi, sigma_gaussian, thermal_wavelength
+from .phys import matsubara_xi, sigma_gaussian, thermal_wavelength
 from .reflection import (
     Bare,
     Conductivity,
     Drift,
     IdealMetal,
-    Mode,
     Nonlocal,
     ReflectionModel,
     amplitude_fn,

@@ -8,9 +8,11 @@ energy           free energy per area over a distance list -> CSV
 pressure         pressure over a distance list -> CSV
 entropy          entropy at one temperature -> CSV
 fig1             distance sweep of drift/cond free-energy ratios -> CSV
-nernst           entropy sweep over temperatures with trend check -> CSV
+nernst           entropy sweep over temperatures at one distance, with
+                 trend check -> CSV
 nonlocal-verify  drift vs spatial-dispersion amplitude cross-check -> CSV
-modeplot         mode-function g^p(i xi, k) samples for external plotting
+modeplot         mode-function g^p(i xi, k) samples at one distance for
+                 external plotting
 
 All output is CSV with '#'-prefixed metadata lines (package version, config
 hash and the full effective configuration), so a run is reproducible from
@@ -28,8 +30,10 @@ import argparse
 import sys
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from . import __version__, phys
-from .config import RunConfig, build_run_config, parse_distances_um
+from .config import RunConfig, build_run_config, parse_distances_um, parse_model
 from .errors import CasdriftError, ConfigError, DomainError
 from .lifshitz import (
     Geometry,
@@ -39,7 +43,7 @@ from .lifshitz import (
     pressure as pressure_op,
 )
 from .materials import band_gap, bare_eps, material_state
-from .reflection import Mode, amplitude_fn
+from .reflection import amplitude_fn
 from .spatial import verify_equivalence
 from .thermo import entropy as entropy_op, nernst_sweep
 
@@ -82,13 +86,6 @@ def _parse_float_list(text: str) -> list:
         return [float(s) for s in str(text).split(",")]
     except ValueError as exc:
         raise ConfigError(f"cannot parse number list {text!r}: {exc}") from exc
-
-
-def _parse_float(text: str, name: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {name} {text!r}: {exc}") from exc
 
 
 def _parse_count(text: str, name: str) -> int:
@@ -173,19 +170,14 @@ def _cmd_pressure(args) -> int:
 
 def _cmd_fig1(args) -> int:
     cfg = build_run_config(args, "fig1")
-    from .config import parse_model
-    drift = parse_model("drift", cfg.material, None)
-    cond = parse_model("cond", cfg.material, cfg.sigma0_ohm_cm)
-    bare = parse_model("bare", cfg.material, None)
+    models = [parse_model(name, cfg.material, cfg.sigma0_ohm_cm)
+              for name in ("bare", "drift", "cond")]
     rows = []
     for d in cfg.distances_cm:
-        geom = Geometry.identical(d, cfg.material)
-        e_bare = free_energy_per_area(geom, cfg.temperature, model=bare,
-                                      tolerances=cfg.tolerances).value
-        e_drift = free_energy_per_area(geom, cfg.temperature, model=drift,
-                                       tolerances=cfg.tolerances).value
-        e_cond = free_energy_per_area(geom, cfg.temperature, model=cond,
-                                      tolerances=cfg.tolerances).value
+        e_bare, e_drift, e_cond = (
+            free_energy_per_area(Geometry.identical(d, cfg.material, model),
+                                 cfg.temperature, tolerances=cfg.tolerances).value
+            for model in models)
         rows.append((d / phys.CM_PER_UM, e_bare, e_drift, e_cond,
                      energy_ratio(e_drift, e_bare), energy_ratio(e_cond, e_bare)))
     _emit(cfg, ("d_um", "E_bare", "E_drift", "E_cond",
@@ -195,12 +187,11 @@ def _cmd_fig1(args) -> int:
 
 def _cmd_entropy(args) -> int:
     cfg = build_run_config(args, "entropy")
-    fd_step = _parse_float(args.fd_step, "--fd-step") if args.fd_step is not None else None
     rows = []
     warnings = []
     for d in cfg.distances_cm:
         geom = Geometry.identical(d, cfg.material, cfg.model)
-        pt = entropy_op(geom, cfg.temperature, fd_step=fd_step,
+        pt = entropy_op(geom, cfg.temperature, fd_step=cfg.fd_step,
                         tolerances=cfg.tolerances)
         rows.append((d / phys.CM_PER_UM, pt.T, pt.S, pt.richardson_error))
         warnings.extend(w for w in pt.warnings if w not in warnings)
@@ -214,7 +205,7 @@ def _cmd_nernst(args) -> int:
     T_list = _parse_float_list(args.T_list) if args.T_list is not None \
         else [300.0, 150.0, 75.0, 40.0, 20.0, 10.0]
     geom = Geometry.identical(cfg.distances_cm[0], cfg.material, cfg.model)
-    report = nernst_sweep(geom, None, T_list, tolerances=cfg.tolerances)
+    report = nernst_sweep(geom, T_list, tolerances=cfg.tolerances)
     rows = [(pt.T, pt.S, pt.richardson_error) for pt in report.points]
     # the deep-freeze ratio bound only applies when the sweep reaches the
     # carrier freeze-out regime; shorter sweeps are judged on monotonicity
@@ -257,16 +248,17 @@ def _cmd_modeplot(args) -> int:
         else [1.0, 150.0, 300.0]
     geom = Geometry.identical(cfg.distances_cm[0], cfg.material, cfg.model)
     xi_max = 3.0 * phys.matsubara_xi(1, 300.0)
-    n_xi, n_k = 25, 25
+    n_xi = 25
     xis = [xi_max * i / (n_xi - 1) for i in range(n_xi)]
-    ks = list(parse_distances_um("1e2:1e6:log25"))  # raw 1/cm values
+    ks = parse_distances_um("1e2:1e6:log25")  # raw 1/cm values
+    k_arr = np.array(ks)
     rows = []
     for T in T_list:
         for xi in xis:
-            for k in ks:
-                mode = Mode(xi=xi, k=k)
-                rows.extend((T, p, xi, k, g_mode(p, mode, geom, T))
-                            for p in ("TM", "TE"))
+            g_tm, g_te = g_mode(geom, T, xi, k_arr)
+            for k, g_tm_k, g_te_k in zip(ks, g_tm.tolist(), g_te.tolist()):
+                rows.append((T, "TM", xi, k, g_tm_k))
+                rows.append((T, "TE", xi, k, g_te_k))
     _emit(cfg, ("T_K", "polarization", "xi_rad_s", "k_cm", "g"), rows, cfg.out)
     return 0
 

@@ -78,6 +78,7 @@ class RunConfig:
     tolerances: Tolerances
     out: Optional[str] = None
     sigma0_ohm_cm: Optional[float] = None
+    fd_step: Optional[float] = None  # entropy finite-difference step [K]
     metadata: tuple = field(default_factory=tuple)  # (key, value) pairs, ordered
 
     def config_hash(self) -> str:
@@ -259,6 +260,8 @@ def build_run_config(args, subcommand: str) -> RunConfig:
 
     d_text = str(pick(getattr(args, "d", None), "d", "1.0"))
     distances_um = parse_distances_um(d_text)
+    if subcommand in ("nernst", "modeplot") and len(distances_um) > 1:
+        raise ConfigError(f"{subcommand} takes one distance, got {d_text!r}")
     distances_cm = tuple(v * phys.CM_PER_UM for v in distances_um)
 
     # entropy runs default tighter: the finite difference divides the
@@ -274,6 +277,12 @@ def build_run_config(args, subcommand: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"bad tolerance: {exc}") from exc
 
+    fd_step_text = getattr(args, "fd_step", None)
+    try:
+        fd_step = float(fd_step_text) if fd_step_text is not None else None
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse --fd-step {fd_step_text!r}: {exc}") from exc
+
     out = pick(getattr(args, "out", None), "out")
 
     metadata = [
@@ -285,6 +294,8 @@ def build_run_config(args, subcommand: str) -> RunConfig:
         ("tol_quad", repr(tol.quad_rel)),
         ("tol_sum", repr(tol.sum_rel)),
     ]
+    if fd_step is not None:
+        metadata.append(("fd_step_K", repr(fd_step)))
     if sigma0_val is not None:
         metadata.append(("sigma0_ohm_cm", repr(sigma0_val)))
     if material.name not in BUILTIN:
@@ -298,5 +309,6 @@ def build_run_config(args, subcommand: str) -> RunConfig:
         tolerances=tol,
         out=str(out) if out is not None else None,
         sigma0_ohm_cm=sigma0_val,
+        fd_step=fd_step,
         metadata=tuple(metadata),
     )

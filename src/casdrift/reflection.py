@@ -50,7 +50,6 @@ from .errors import DomainError
 from .materials import MaterialSpec, MaterialState, _material_state_cached
 
 __all__ = [
-    "Mode",
     "Bare",
     "Conductivity",
     "Drift",
@@ -62,29 +61,6 @@ __all__ = [
 
 _FOURPI = 4.0 * math.pi
 _ndarray = np.ndarray
-
-
-@dataclass(frozen=True)
-class Mode:
-    """One evaluation point (xi, k) on the imaginary-frequency / k grid.
-
-    xi [rad/s] >= 0 is the imaginary frequency, k [1/cm] > 0 the wavevector
-    projection on the interface plane.  gamma0 = sqrt(k^2 + xi^2/c^2) is the
-    vacuum decay wavevector, always >= k.
-    """
-
-    xi: float
-    k: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.xi) or self.xi < 0.0:
-            raise DomainError(f"xi must be finite and >= 0, got {self.xi!r}")
-        if not math.isfinite(self.k) or self.k <= 0.0:
-            raise DomainError(f"k must be finite and > 0, got {self.k!r}")
-
-    @property
-    def gamma0(self) -> float:
-        return math.hypot(self.k, self.xi / phys.C_LIGHT)
 
 
 # --- model tags -------------------------------------------------------------
@@ -199,9 +175,11 @@ def amplitude_fn(model: ReflectionModel, spec: MaterialSpec, T: float) -> Callab
     The returned closure owns the material state (computed once) and the
     per-model static branches; it is pure and safe to call from concurrent
     workers.  It is the one way the package evaluates an amplitude: the
-    Lifshitz summation, ``g_mode`` and the CLI all call it.  The static TE
-    amplitude is 0 for every model: the static TE field is purely magnetic
-    and fully penetrates a nonmagnetic medium.
+    Lifshitz engine's Q = r1 r2 exp(-2 d gamma0) kernel (behind both the
+    Matsubara sum and ``g_mode``), the nonlocal cross-check and the CLI's
+    ``reflect`` all call it.  The static TE amplitude is 0 for every model:
+    the static TE field is purely magnetic and fully penetrates a
+    nonmagnetic medium.
 
     ``xi`` and ``k`` may be floats or numpy arrays that broadcast together;
     the static branch is taken for a float ``xi == 0``, so an array ``xi``

@@ -10,7 +10,8 @@ contribution vanishing like T^2 with a negative coefficient, TM linear in T
 with a positive slope, S -> 0 overall) are checked instead through entropy
 sweeps down to desk-scale temperatures (the Matsubara cap stops a little
 short of T = 0; the Nernst statement is verified as a trend and reported as
-such).  The test suite also probes the xi-derivatives of the mode function
+such).  The reflection models are those bound on the geometry's plates.
+The test suite also probes the xi-derivatives of the mode function
 :func:`casdrift.lifshitz.g_mode` near xi = 0.
 
 Entropy evaluations default to tighter engine tolerances than plain energy
@@ -26,7 +27,6 @@ from typing import Optional, Sequence
 
 from .errors import DomainError
 from .lifshitz import Geometry, Tolerances, free_energy_per_area
-from .reflection import ReflectionModel
 
 __all__ = [
     "EntropyPoint",
@@ -60,7 +60,6 @@ class NernstReport:
 
 
 def entropy(geom: Geometry, T: float,
-            model: Optional[ReflectionModel] = None,
             fd_step: Optional[float] = None,
             tolerances: Optional[Tolerances] = None) -> EntropyPoint:
     """Entropy per area from Richardson-extrapolated central differences.
@@ -81,7 +80,7 @@ def entropy(geom: Geometry, T: float,
     warnings = []
 
     def E(temp: float) -> float:
-        res = free_energy_per_area(geom, temp, model=model, tolerances=tol)
+        res = free_energy_per_area(geom, temp, tolerances=tol)
         warnings.extend(w for w in res.warnings if w not in warnings)
         return res.value
 
@@ -102,8 +101,7 @@ def entropy(geom: Geometry, T: float,
                         richardson_error=rich_err, warnings=tuple(warnings))
 
 
-def nernst_sweep(geom: Geometry, model: Optional[ReflectionModel],
-                 T_list: Sequence[float],
+def nernst_sweep(geom: Geometry, T_list: Sequence[float],
                  fd_step: Optional[float] = None,
                  tolerances: Optional[Tolerances] = None) -> NernstReport:
     """Entropy at each temperature with shared settings, plus diagnostics.
@@ -112,8 +110,7 @@ def nernst_sweep(geom: Geometry, model: Optional[ReflectionModel],
     sweep's temperatures at or below 75 K (sorted descending), the
     desk-scale version of the Nernst trend.
     """
-    pts = [entropy(geom, t, model=model, fd_step=fd_step, tolerances=tolerances)
-           for t in T_list]
+    pts = [entropy(geom, t, fd_step=fd_step, tolerances=tolerances) for t in T_list]
     low = sorted((pt for pt in pts if pt.T <= 75.0), key=lambda pt: -pt.T)
     monotone = all(abs(a.S) > abs(b.S) for a, b in zip(low, low[1:]))
     by_T = sorted(pts, key=lambda pt: pt.T)

@@ -17,7 +17,8 @@ library result by an independent route:
   scalar adaptive quadrature, one polarization at a time, against which
   the blocked Gauss-Kronrod engine of :mod:`casdrift.lifshitz` is held.
 
-The rest are verification helpers that only the tests call: the drift
+The rest are verification helpers that only the tests call: the (xi, k)
+evaluation point :class:`Mode` the record-style helpers take, the drift
 quantities and H-functions as records (:func:`drift_quantities`,
 :func:`h_integrals`), the longitudinal tensor component the q_z quadrature
 needs (:func:`full_drift_tensor`), the xi-stencil probe of the mode function
@@ -38,11 +39,11 @@ from scipy.integrate import quad
 
 from casdrift import phys
 from casdrift.errors import CasdriftError, DomainError, EvaluationError
-from casdrift.lifshitz import Geometry, Tolerances, free_energy_per_area, g_mode
+from casdrift.lifshitz import (
+    Geometry, Tolerances, _with_model, free_energy_per_area, g_mode)
 from casdrift.materials import (
     MaterialSpec, MaterialState, _material_state_cached, bare_eps)
-from casdrift.reflection import (
-    Bare, Mode, ReflectionModel, _defects, _drift_parts)
+from casdrift.reflection import Bare, ReflectionModel, _defects, _drift_parts
 from casdrift.spatial import DriftTensor, _assemble_H_tm_tilde, _h_tildes
 
 
@@ -68,6 +69,31 @@ class IntegrationError(CasdriftError):
 
 class ProbeError(CasdriftError):
     """A finite-difference probe stencil did not behave consistently."""
+
+
+# --- evaluation point of the record-style helpers ------------------------------
+
+@dataclass(frozen=True)
+class Mode:
+    """One evaluation point (xi, k) on the imaginary-frequency / k grid.
+
+    xi [rad/s] >= 0 is the imaginary frequency, k [1/cm] > 0 the wavevector
+    projection on the interface plane.  gamma0 = sqrt(k^2 + xi^2/c^2) is the
+    vacuum decay wavevector, always >= k.
+    """
+
+    xi: float
+    k: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.xi) or self.xi < 0.0:
+            raise DomainError(f"xi must be finite and >= 0, got {self.xi!r}")
+        if not math.isfinite(self.k) or self.k <= 0.0:
+            raise DomainError(f"k must be finite and > 0, got {self.k!r}")
+
+    @property
+    def gamma0(self) -> float:
+        return math.hypot(self.k, self.xi / phys.C_LIGHT)
 
 
 # --- textbook surface response -------------------------------------------------
@@ -474,7 +500,7 @@ def pc_n0_ratio_asymptote(geom: Geometry, T: float,
     lambda_T) ratio curves approach: bare amplitudes everywhere except a
     perfectly reflecting n = 0 TM mode.
     """
-    e_bare = free_energy_per_area(geom, T, model=Bare(), tolerances=tolerances)
+    e_bare = free_energy_per_area(_with_model(geom, Bare()), T, tolerances=tolerances)
     e_pc = e_bare.value - e_bare.per_n_terms[0][2] + ideal_metal_n0_tm_energy(geom.d, T)
     return e_pc / e_bare.value
 
@@ -482,8 +508,8 @@ def pc_n0_ratio_asymptote(geom: Geometry, T: float,
 def n0_swapped_energy(geom: Geometry, T: float, n0_model: ReflectionModel,
                       tolerances: Optional[Tolerances] = None) -> float:
     """Bare free energy with its n = 0 term taken from ``n0_model``."""
-    e_bare = free_energy_per_area(geom, T, model=Bare(), tolerances=tolerances)
-    e_n0 = free_energy_per_area(geom, T, model=n0_model, tolerances=tolerances)
+    e_bare = free_energy_per_area(_with_model(geom, Bare()), T, tolerances=tolerances)
+    e_n0 = free_energy_per_area(_with_model(geom, n0_model), T, tolerances=tolerances)
     return e_bare.value - _n0_term(e_bare) + _n0_term(e_n0)
 
 
@@ -505,8 +531,7 @@ class GProbe:
     g_xixi: float
 
 
-def g_probe(p: str, k: float, geom: Geometry, T: float,
-            model: Optional[ReflectionModel] = None) -> GProbe:
+def g_probe(p: str, k: float, geom: Geometry, T: float) -> GProbe:
     """First and second xi-derivatives of g^p at xi -> 0+ for one k.
 
     One-sided four-point stencils on xi = {0, 1, 2, 3} h with
@@ -518,9 +543,10 @@ def g_probe(p: str, k: float, geom: Geometry, T: float,
         raise DomainError(f"k must be > 0, got {k!r}")
     theta = 2.0 * math.pi * phys.K_B * T / phys.HBAR
     h0 = 1.0e-4 * phys.matsubara_xi(1, T)
+    pol = ("TM", "TE").index(p.upper())
 
     def stencil(h: float):
-        g = [g_mode(p, Mode(xi=j * h, k=k), geom, T, model) for j in range(4)]
+        g = [float(g_mode(geom, T, j * h, k)[pol]) for j in range(4)]
         g_xi = (-11.0 * g[0] + 18.0 * g[1] - 9.0 * g[2] + 2.0 * g[3]) / (6.0 * h)
         g_xixi = (2.0 * g[0] - 5.0 * g[1] + 4.0 * g[2] - g[3]) / (h * h)
         return g, g_xi, g_xixi

@@ -32,12 +32,13 @@ from casdrift.materials import (
     material_state,
     relaxation_time,
 )
-from casdrift.reflection import Bare, Drift, IdealMetal, Mode, amplitude_fn
+from casdrift.reflection import Bare, Drift, IdealMetal, amplitude_fn
 from casdrift.spatial import verify_equivalence
 from casdrift.thermo import nernst_sweep
 
 from conftest import logspace, neville_to_zero, rel
 from oracles import (
+    Mode,
     drift_quantities,
     full_drift_tensor,
     g_probe,
@@ -206,9 +207,9 @@ def test_criterion_08a_si_flat_ge_rises():
     si_dev, ge_dev = {}, {}
     for d_um in (0.25, 0.5, 1.0):
         for spec, dev in ((SI, si_dev), (GE, ge_dev)):
-            geom = Geometry.identical(d_um * UM, spec)
-            dev[d_um] = abs(ratio_to_bare(geom, 300.0, Drift()) - 1.0)
-    ge_2um = ratio_to_bare(Geometry.identical(2.0 * UM, GE), 300.0, Drift())
+            geom = Geometry.identical(d_um * UM, spec, Drift())
+            dev[d_um] = abs(ratio_to_bare(geom, 300.0) - 1.0)
+    ge_2um = ratio_to_bare(Geometry.identical(2.0 * UM, GE, Drift()), 300.0)
     si_ok = all(si_dev[d] <= 0.1 * ge_dev[d] and si_dev[d] < 1e-2
                 for d in si_dev)
     ge_ok = ge_2um > 1.01
@@ -232,8 +233,8 @@ def test_criterion_08a_si_flat_ge_rises():
 
 
 def test_criterion_08b_ge_approaches_pc_asymptote():
-    geom = Geometry.identical(15.0 * UM, GE)
-    r = ratio_to_bare(geom, 300.0, Drift())
+    geom = Geometry.identical(15.0 * UM, GE, Drift())
+    r = ratio_to_bare(geom, 300.0)
     asym = pc_n0_ratio_asymptote(geom, 300.0)
     ok = abs(r - asym) <= 0.05 * asym
     report("8b (Ge ratio near pc asymptote at 15um)", ok,
@@ -248,10 +249,9 @@ def test_criterion_08c_cond_material_independence_at_20um():
     out = {}
     for name in ("Ge", "Si"):
         spec = get_material(name)
-        geom = Geometry.identical(20.0 * UM, spec)
-        cond = parse_model("cond", spec, None)
-        e_cond = free_energy_per_area(geom, 300.0, model=cond).value
-        e_bare = free_energy_per_area(geom, 300.0, model=Bare()).value
+        geom = Geometry.identical(20.0 * UM, spec, parse_model("cond", spec, None))
+        e_cond = free_energy_per_area(geom, 300.0).value
+        e_bare = free_energy_per_area(Geometry.identical(20.0 * UM, spec, Bare()), 300.0).value
         out[name] = (e_cond, e_cond / e_bare, pc_n0_ratio_asymptote(geom, 300.0))
     e_rel = rel(out["Ge"][0], out["Si"][0])
     sat = {n: rel(out[n][1], out[n][2]) for n in out}
@@ -266,8 +266,8 @@ def test_criterion_09_single_mode_claim():
     worst = 0.0
     for spec in (GE, SI):
         for d_um in (0.5, 1.0, 3.0, 10.0):
-            geom = Geometry.identical(d_um * UM, spec)
-            full = free_energy_per_area(geom, 300.0, model=Drift()).value
+            geom = Geometry.identical(d_um * UM, spec, Drift())
+            full = free_energy_per_area(geom, 300.0).value
             hybrid = n0_swapped_energy(geom, 300.0, Drift())
             worst = max(worst, abs(hybrid - full) / abs(full))
     ok = worst < 1e-3
@@ -278,7 +278,7 @@ def test_criterion_09_single_mode_claim():
 def test_criterion_10_nernst_trend_and_probes():
     t0 = time.monotonic()
     geom = Geometry.identical(1e-4, GE, Drift())
-    rep = nernst_sweep(geom, None, [300.0, 75.0, 40.0, 20.0, 10.0])
+    rep = nernst_sweep(geom, [300.0, 75.0, 40.0, 20.0, 10.0])
     mags = {pt.T: abs(pt.S) for pt in rep.points}
     monotone = mags[75.0] > mags[40.0] > mags[20.0] > mags[10.0]
     small = mags[10.0] < 0.05 * mags[300.0]

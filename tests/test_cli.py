@@ -266,6 +266,27 @@ def test_malformed_fd_step_exits_2(capsys):
     assert "--fd-step" in err
 
 
+def test_fd_step_is_recorded(capsys):
+    argv = ("entropy", "--material", "Ge", "--T", "300", "--d", "1")
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    meta, _, rows, _ = parse_csv(out)
+    assert "fd_step_K" not in meta
+    rc, out, _ = run_cli(capsys, *argv, "--fd-step", "5")
+    assert rc == 0
+    meta_5, _, rows_5, _ = parse_csv(out)
+    assert meta_5["fd_step_K"] == "5.0"
+    assert meta_5["config_hash"] != meta["config_hash"]
+    assert rows_5[0][2] != rows[0][2]
+
+
+def test_single_distance_commands_reject_lists(capsys):
+    for argv in (("nernst", "--T-list", "120,60"), ("modeplot", "--T-list", "300")):
+        rc, out, err = run_cli(capsys, *argv, "--material", "Ge", "--d", "1,2,3")
+        assert rc == 2, argv
+        assert "one distance" in err and out == ""
+
+
 def test_malformed_grid_count_exits_2(capsys):
     rc, _, err = run_cli(capsys, "nonlocal-verify", "--material", "Ge", "--nk", "x")
     assert rc == 2

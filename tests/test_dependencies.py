@@ -28,7 +28,8 @@ from casdrift import cli
 rc = 0
 for argv in (["materials", "--material", "Ge"],
              ["energy", "--material", "Ge", "--model", "drift", "--d", "1"],
-             ["modeplot", "--material", "Ge", "--T-list", "300"]):
+             ["modeplot", "--material", "Ge", "--T-list", "300"],
+             ["fig1", "--material", "Ge", "--d", "1"]):
     rc = rc or cli.main(argv)
 sys.exit(rc)
 """
@@ -43,3 +44,4 @@ def test_runs_without_test_extras():
     assert "n0" in proc.stdout
     assert "E_erg_cm2" in proc.stdout
     assert "T_K,polarization,xi_rad_s,k_cm,g" in proc.stdout
+    assert "d_um,E_bare,E_drift,E_cond,ratio_drift,ratio_cond" in proc.stdout

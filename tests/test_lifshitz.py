@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from casdrift import lifshitz, phys
@@ -18,7 +19,7 @@ from casdrift.lifshitz import (
 )
 from casdrift.materials import GE, SI, SellmeierPermittivity, material_state
 from casdrift.reflection import (
-    Bare, Conductivity, Drift, IdealMetal, Mode, Nonlocal, amplitude_fn)
+    Bare, Conductivity, Drift, IdealMetal, Nonlocal, amplitude_fn)
 
 from conftest import assert_close
 from oracles import (
@@ -191,7 +192,7 @@ class TestShapeAndBookkeeping:
         assert abs(e_si.value) < abs(res.value) < abs(e_ge.value)
 
     def test_missing_model_is_an_error(self):
-        geom = Geometry.identical(D_1UM, GE)
+        geom = Geometry.identical(D_1UM, GE, None)
         with pytest.raises(DomainError):
             free_energy_per_area(geom, 300.0)
 
@@ -205,9 +206,8 @@ class TestNonlocalPlates:
     def test_nonlocal_sums_equal_drift(self):
         for spec in (GE, SI):
             for op in (free_energy_per_area, pressure):
-                geom = Geometry.identical(D_1UM, spec)
-                a = op(geom, 300.0, model=Nonlocal(), tolerances=TIGHT)
-                b = op(geom, 300.0, model=Drift(), tolerances=TIGHT)
+                a = op(Geometry.identical(D_1UM, spec, Nonlocal()), 300.0, tolerances=TIGHT)
+                b = op(Geometry.identical(D_1UM, spec, Drift()), 300.0, tolerances=TIGHT)
                 assert_close(a.value, b.value, 1e-8, what=f"{spec.name} {op.__name__}")
                 assert a.n_truncated_at == b.n_truncated_at
 
@@ -297,15 +297,15 @@ class TestGMode:
                 eps0=1.0 + 1e-12, eps_inf=1.0, omega0=5e15),
             gap_E0=1e6, name="ghost")
         geom = Geometry.identical(D_1UM, ghost, Bare())
-        g = g_mode("TM", Mode(xi=phys.matsubara_xi(1, 300.0), k=1e4), geom, 300.0)
-        assert abs(g) < 1e-20
+        g_tm, _ = g_mode(geom, 300.0, phys.matsubara_xi(1, 300.0), 1e4)
+        assert abs(g_tm) < 1e-20
 
     def test_perfect_reflector_arithmetic(self):
         # r1 r2 = 1 and 2 d gamma0 = ln 2  =>  g = ln(1/2)
         geom = Geometry.identical(D_1UM, GE, IdealMetal())
         k = math.log(2.0) / (2 * D_1UM)
-        g = g_mode("TM", Mode(xi=0.0, k=k), geom, 300.0)
-        assert_close(g, math.log(0.5), 1e-12)
+        g_tm, _ = g_mode(geom, 300.0, 0.0, k)
+        assert_close(g_tm, math.log(0.5), 1e-12)
 
     def test_drift_tm_n0_enhanced_at_small_k(self):
         # screening pushes the static TM mode function toward the
@@ -313,14 +313,42 @@ class TestGMode:
         geom_d = Geometry.identical(D_1UM, GE, Drift())
         geom_b = Geometry.identical(D_1UM, GE, Bare())
         for k in (5e2, 2e3):
-            gd = g_mode("TM", Mode(xi=0.0, k=k), geom_d, 300.0)
-            gb = g_mode("TM", Mode(xi=0.0, k=k), geom_b, 300.0)
+            gd, _ = g_mode(geom_d, 300.0, 0.0, k)
+            gb, _ = g_mode(geom_b, 300.0, 0.0, k)
             assert gd < gb < 0.0
 
-    def test_rejects_unknown_polarization(self):
+    def test_array_k_matches_scalar_calls(self):
+        # bare, cond, drift, nonlocal and the ideal metal; static and xi_1
+        ks = np.geomspace(1e2, 1e6, 25)
+        for spec in (GE, SI):
+            for model in [parse_model(n, spec, None) for n in MODEL_NAMES] + [IdealMetal()]:
+                geom = Geometry.identical(D_1UM, spec, model)
+                for xi in (0.0, phys.matsubara_xi(1, 300.0)):
+                    g_arr = g_mode(geom, 300.0, xi, ks)
+                    for i, k in enumerate(ks.tolist()):
+                        g_one = g_mode(geom, 300.0, xi, k)
+                        for pol in (0, 1):
+                            assert_close(g_arr[pol][i], g_one[pol], 1e-15,
+                                         what=f"{spec.name} {model} xi={xi} k={k} {pol}")
+
+    def test_rejects_out_of_domain_points(self):
         geom = Geometry.identical(D_1UM, GE, Drift())
-        with pytest.raises(DomainError):
-            g_mode("TEM", Mode(xi=0.0, k=1e4), geom, 300.0)
+        xi1 = phys.matsubara_xi(1, 300.0)
+        for xi, k in ((-1.0, 1e4), (math.nan, 1e4), (math.inf, 1e4),
+                      (xi1, 0.0), (xi1, -1e4), (xi1, math.nan), (xi1, math.inf),
+                      (np.array([xi1, -1.0]), 1e4), (xi1, np.array([1e4, 0.0])),
+                      (0.0, np.array([1e4, math.inf])),
+                      (np.array([0.0, xi1]), 1e4)):  # static needs a float xi
+            with pytest.raises(DomainError):
+                g_mode(geom, 300.0, xi, k)
+
+    def test_non_passive_element_is_refused(self, monkeypatch):
+        # r1 r2 = 2.25 gives Q >= 1 at k = 1e2 only, where 2 d k = 0.02
+        monkeypatch.setattr(lifshitz, "amplitude_fn",
+                            lambda model, spec, T: lambda xi, k: (1.5, 0.0))
+        geom = Geometry.identical(D_1UM, GE, Drift())
+        with pytest.raises(DomainError, match="non-passive"):
+            g_mode(geom, 300.0, 0.0, np.array([1e6, 1e2]))
 
 
 class TestLargeSeparationScreening:
@@ -328,9 +356,8 @@ class TestLargeSeparationScreening:
         # at d = 20 R_D the whole drift/bare difference is carried by the
         # n = 0 TM term going perfectly conducting
         d = 20.0 * material_state(GE, 300.0).R_D
-        geom = Geometry.identical(d, GE)
-        e_drift = free_energy_per_area(geom, 300.0, model=Drift())
-        e_bare = free_energy_per_area(geom, 300.0, model=Bare())
+        e_drift = free_energy_per_area(Geometry.identical(d, GE, Drift()), 300.0)
+        e_bare = free_energy_per_area(Geometry.identical(d, GE, Bare()), 300.0)
         got = e_drift.value - e_bare.value
         want = ideal_metal_n0_tm_energy(d, 300.0) - e_bare.per_n_terms[0][2]
         assert abs(got - want) <= 0.05 * abs(want)
@@ -338,18 +365,18 @@ class TestLargeSeparationScreening:
 
 class TestRatios:
     def test_bare_ratio_is_one(self):
-        geom = Geometry.identical(D_1UM, GE)
-        assert ratio_to_bare(geom, 300.0, Bare()) == 1.0
+        geom = Geometry.identical(D_1UM, GE, Bare())
+        assert ratio_to_bare(geom, 300.0) == 1.0
 
     def test_si_ratio_near_one_at_small_separation(self):
         # independently verified value: 1.00194680... at d = 1 um
-        geom = Geometry.identical(D_1UM, SI)
-        r = ratio_to_bare(geom, 300.0, Drift())
+        geom = Geometry.identical(D_1UM, SI, Drift())
+        r = ratio_to_bare(geom, 300.0)
         assert_close(r, 1.0019468019480474, 1e-9)
 
     def test_ge_ratio_approaches_pc_asymptote(self):
-        geom = Geometry.identical(15e-4, GE)
-        r = ratio_to_bare(geom, 300.0, Drift())
+        geom = Geometry.identical(15e-4, GE, Drift())
+        r = ratio_to_bare(geom, 300.0)
         asym = pc_n0_ratio_asymptote(geom, 300.0)
         assert r > 1.01
         assert abs(r - asym) <= 0.05 * asym
@@ -359,9 +386,9 @@ class TestRatios:
             GE, permittivity=SellmeierPermittivity(
                 eps0=1.0 + 1e-15, eps_inf=1.0, omega0=5e15),
             gap_E0=1e6, name="ghost")
-        geom = Geometry.identical(D_1UM, ghost)
+        geom = Geometry.identical(D_1UM, ghost, Drift())
         with pytest.raises(NormalizationError):
-            ratio_to_bare(geom, 300.0, Drift())
+            ratio_to_bare(geom, 300.0)
 
 
 class TestSingleModeClaim:
@@ -369,16 +396,15 @@ class TestSingleModeClaim:
         # swapping every n >= 1 amplitude for the bare one moves E by <0.1%
         for spec in (GE, SI):
             for d in (0.5e-4, 1e-4, 10e-4):
-                geom = Geometry.identical(d, spec)
-                full = free_energy_per_area(geom, 300.0, model=Drift())
+                geom = Geometry.identical(d, spec, Drift())
+                full = free_energy_per_area(geom, 300.0)
                 hybrid = n0_swapped_energy(geom, 300.0, Drift())
                 assert abs(hybrid - full.value) < 1e-3 * abs(full.value)
 
     def test_drift_and_cond_differ_mostly_in_n0(self):
         cond = Conductivity(sigma0=phys.sigma_gaussian(1 / 43))
-        geom = Geometry.identical(D_1UM, GE)
-        e_d = free_energy_per_area(geom, 300.0, model=Drift())
-        e_c = free_energy_per_area(geom, 300.0, model=cond)
+        e_d = free_energy_per_area(Geometry.identical(D_1UM, GE, Drift()), 300.0)
+        e_c = free_energy_per_area(Geometry.identical(D_1UM, GE, cond), 300.0)
         d_n0 = (e_d.per_n_terms[0][1] + e_d.per_n_terms[0][2]) - (
             e_c.per_n_terms[0][1] + e_c.per_n_terms[0][2])
         assert abs((e_d.value - e_c.value) - d_n0) < 1e-3 * abs(e_d.value)

@@ -11,12 +11,11 @@ from conftest import assert_close, ulps_apart
 
 
 def test_constants_are_codata2018():
-    c = phys.CODATA2018
-    assert c.hbar == 1.054571817e-27
-    assert c.k_B == 1.380649e-16
-    assert c.c == 2.99792458e10
-    assert_close(c.e_charge, 4.80320471257e-10, 1e-11)
-    assert_close(c.m_electron, 9.1093837015e-28, 1e-10)
+    assert phys.HBAR == 1.054571817e-27
+    assert phys.K_B == 1.380649e-16
+    assert phys.C_LIGHT == 2.99792458e10
+    assert_close(phys.E_CHARGE, 4.80320471257e-10, 1e-11)
+    assert_close(phys.M_ELECTRON, 9.1093837015e-28, 1e-10)
 
 
 def test_matsubara_n0_is_zero():

@@ -14,14 +14,13 @@ from casdrift.reflection import (
     Conductivity,
     Drift,
     IdealMetal,
-    Mode,
     Nonlocal,
     amplitude_fn,
     _fresnel_pair,
 )
 
 from conftest import assert_close, logspace, neville_to_zero
-from oracles import chi, drift_quantities, r_oracle_bc, zero_carrier
+from oracles import Mode, chi, drift_quantities, r_oracle_bc, zero_carrier
 
 XI1 = phys.matsubara_xi(1, 300.0)
 ALL_MODELS = [Bare(), Conductivity(sigma0=2.09e10), Drift(), Nonlocal()]

@@ -3,7 +3,7 @@ import pytest
 from casdrift import phys
 from casdrift.errors import DomainError, EvaluationError
 from casdrift.materials import GE, SI, bare_eps, material_state
-from casdrift.reflection import Drift, Mode, amplitude_fn
+from casdrift.reflection import Drift, amplitude_fn
 from casdrift.spatial import (
     eps_perp_drift,
     make_drift_tensor,
@@ -14,6 +14,7 @@ from casdrift.spatial import (
 from conftest import assert_close, logspace
 from oracles import (
     ConstantTensor,
+    Mode,
     drift_quantities,
     eps_par_drift,
     full_drift_tensor,

@@ -127,7 +127,7 @@ class TestScreeningEntropyChannel:
 class TestNernstSweep:
     def test_short_sweep_diagnostics(self):
         geom = Geometry.identical(D_1UM, GE, Drift())
-        report = nernst_sweep(geom, None, [120.0, 60.0, 30.0])
+        report = nernst_sweep(geom, [120.0, 60.0, 30.0])
         assert len(report.points) == 3
         assert report.s_ratio_low_to_high < 1.0
         mags = {pt.T: abs(pt.S) for pt in report.points}
@@ -135,11 +135,11 @@ class TestNernstSweep:
 
     def test_silicon_same_qualitative_behaviour(self):
         geom = Geometry.identical(D_1UM, SI, Drift())
-        report = nernst_sweep(geom, None, [75.0, 40.0, 20.0])
+        report = nernst_sweep(geom, [75.0, 40.0, 20.0])
         assert report.monotone_abs_decreasing
         assert all(pt.S > 0.0 for pt in report.points)
 
     def test_bare_sweep_terminates(self):
         geom = Geometry.identical(D_1UM, GE, Bare())
-        report = nernst_sweep(geom, None, [90.0, 45.0])
+        report = nernst_sweep(geom, [90.0, 45.0])
         assert all(math.isfinite(pt.S) for pt in report.points)
