@@ -195,6 +195,7 @@ def g_mode(geom: Geometry, T: float, xi, k):
     static branch, so an array ``xi`` must hold positive frequencies only.
     Nonpositive whenever r1 r2 >= 0 (all built-in media).
     """
+    _check_temperature(T)
     xi_a, k_a = np.asarray(xi, dtype=float), np.asarray(k, dtype=float)
     if not (np.isfinite(xi_a).all() and (xi_a >= 0.0).all()):
         raise DomainError(f"xi must be finite and >= 0, got {xi!r}")
@@ -331,6 +332,11 @@ def _block_integrals(kind: str, d: float, xis, pair1, pair2, quad_rel: float):
     return I, E, notes, (nodes, passes, len(row))
 
 
+def _check_temperature(T: float) -> None:
+    if not math.isfinite(T) or T <= 0.0:
+        raise DomainError(f"temperature must be finite and positive, got {T!r}")
+
+
 def _range_warnings(T: float) -> list:
     if T > T_VALID_MAX:
         return [f"T = {T} K outside material-model validity (0, {T_VALID_MAX}] K"]
@@ -339,8 +345,7 @@ def _range_warnings(T: float) -> list:
 
 def _matsubara_sum(kind: str, geom: Geometry, T: float,
                    tolerances: Optional[Tolerances]) -> SummationResult:
-    if not math.isfinite(T) or T <= 0.0:
-        raise DomainError(f"temperature must be finite and positive, got {T!r}")
+    _check_temperature(T)
     tol = tolerances if tolerances is not None else Tolerances()
     d = geom.d
     xi1 = phys.matsubara_xi(1, T)

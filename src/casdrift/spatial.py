@@ -165,16 +165,17 @@ def r_from_H_tilde(H_tilde):
 
 # --- cross-validation grid -----------------------------------------------------
 
-def verify_equivalence(spec: MaterialSpec, T: float,
-                       n_k: int = 20, n_xi: int = 20,
-                       k_range: tuple = (1.0e2, 1.0e6),
-                       xi1_factors: tuple = (1.0e-3, 1.0e3)):
+_K_RANGE = (1.0e2, 1.0e6)
+_XI1_FACTORS = (1.0e-3, 1.0e3)
+
+
+def verify_equivalence(spec: MaterialSpec, T: float, n_k: int = 20, n_xi: int = 20):
     """Compare the Drift and Nonlocal amplitudes on a log-spaced grid.
 
     Returns (rows, max_rel_diff) where each row is
     (polarization, k, xi, r_drift, r_nonlocal, rel_diff).  The grid spans
-    k in ``k_range`` and xi in ``xi1_factors`` times the first Matsubara
-    frequency at T.
+    k in ``_K_RANGE`` [1/cm] and xi in ``_XI1_FACTORS`` times the first
+    Matsubara frequency at T.
     """
     xi1 = phys.matsubara_xi(1, T)
     pair_drift = amplitude_fn(Drift(), spec, T)
@@ -188,8 +189,8 @@ def verify_equivalence(spec: MaterialSpec, T: float,
 
     rows = []
     max_rel = 0.0
-    for k in logspace(k_range[0], k_range[1], n_k):
-        for xi in logspace(xi1_factors[0] * xi1, xi1_factors[1] * xi1, n_xi):
+    for k in logspace(*_K_RANGE, n_k):
+        for xi in logspace(_XI1_FACTORS[0] * xi1, _XI1_FACTORS[1] * xi1, n_xi):
             for pol, r_d, r_n in zip(("TM", "TE"), pair_drift(xi, k),
                                      pair_nonlocal(xi, k)):
                 rel = abs(r_n - r_d) / max(abs(r_d), 1.0e-30)

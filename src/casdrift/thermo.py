@@ -102,7 +102,6 @@ def entropy(geom: Geometry, T: float,
 
 
 def nernst_sweep(geom: Geometry, T_list: Sequence[float],
-                 fd_step: Optional[float] = None,
                  tolerances: Optional[Tolerances] = None) -> NernstReport:
     """Entropy at each temperature with shared settings, plus diagnostics.
 
@@ -110,7 +109,7 @@ def nernst_sweep(geom: Geometry, T_list: Sequence[float],
     sweep's temperatures at or below 75 K (sorted descending), the
     desk-scale version of the Nernst trend.
     """
-    pts = [entropy(geom, t, fd_step=fd_step, tolerances=tolerances) for t in T_list]
+    pts = [entropy(geom, t, tolerances=tolerances) for t in T_list]
     low = sorted((pt for pt in pts if pt.T <= 75.0), key=lambda pt: -pt.T)
     monotone = all(abs(a.S) > abs(b.S) for a, b in zip(low, low[1:]))
     by_T = sorted(pts, key=lambda pt: pt.T)

@@ -1,8 +1,14 @@
 import csv
 import io
 import math
+import re
+import shlex
+from pathlib import Path
 
-from casdrift.cli import main
+import pytest
+
+from casdrift.cli import build_parser, main
+from casdrift.config import COMMAND_INPUTS, build_run_config
 
 from conftest import assert_close
 
@@ -75,7 +81,8 @@ def test_fig1_determinism(tmp_path, capsys):
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[run]\nmaterial = Ge\nmodel = bare\nt = 200\nd = 2\n")
-    rc, out, _ = run_cli(capsys, "materials", "--config", str(cfg), "--T", "300")
+    rc, out, _ = run_cli(capsys, "reflect", "--config", str(cfg), "--T", "300",
+                         "--xi", "0", "--k", "1e4")
     assert rc == 0
     meta, _, rows, _ = parse_csv(out)
     assert meta["T_K"] == "300.0"      # flag wins
@@ -299,3 +306,97 @@ def test_empty_grid_exits_2(capsys):
     assert rc == 2
     assert "--nxi" in err
     assert "equivalence" not in out
+
+
+# two valid values of every input, for any command that reads it
+INPUT_VALUES = {
+    "material": ("Ge", "Si"),
+    "model": ("drift", "bare"),
+    "T": ("300", "200"),
+    "d": ("1", "2"),
+    "sigma0": ("0.02", "0.03"),
+    "tol-quad": ("1e-8", "1e-7"),
+    "tol-sum": ("1e-10", "1e-9"),
+    "fd-step": ("5", "6"),
+    "xi": ("0", "1e14"),
+    "k": ("1e4", "1e5"),
+    "T-list": ("300", "150"),
+    "nk": ("3", "4"),
+    "nxi": ("3", "4"),
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, inputs in COMMAND_INPUTS.items()
+    for flag in ("material",) + tuple(inp.flag for inp in inputs)])
+def test_read_inputs_reach_the_header(command, flag):
+    # the header's config_hash is the hash of the recorded inputs
+    hashes = {build_run_config(build_parser().parse_args(
+        [command, "--material", "Ge", f"--{flag}", value])).config_hash()
+        for value in INPUT_VALUES[flag]}
+    assert len(hashes) == 2
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("materials", "model"), ("materials", "d"), ("materials", "sigma0"),
+    ("materials", "tol-quad"), ("materials", "tol-sum"),
+    ("reflect", "d"), ("reflect", "tol-quad"), ("reflect", "tol-sum"),
+    ("fig1", "model"),
+    ("nernst", "T"),
+    ("nonlocal-verify", "model"), ("nonlocal-verify", "d"), ("nonlocal-verify", "sigma0"),
+    ("nonlocal-verify", "tol-quad"), ("nonlocal-verify", "tol-sum"),
+    ("modeplot", "T"), ("modeplot", "tol-quad"), ("modeplot", "tol-sum")])
+def test_unread_flags_are_rejected(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--material", "Ge", f"--{flag}", "1"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["nernst", "modeplot"])
+@pytest.mark.parametrize("bad", ["0", "-5", "nan", "300,-5"])
+def test_bad_temperature_list_exits_2_before_any_work(command, bad, capsys, monkeypatch):
+    from casdrift import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "nernst_sweep", no_work)
+    monkeypatch.setattr(cli, "g_mode", no_work)
+    rc, out, err = run_cli(capsys, command, "--material", "Ge", "--d", "1", "--T-list", bad)
+    assert rc == 2
+    assert "--T-list" in err and out == ""
+
+
+def test_unread_config_keys_are_not_recorded(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nmaterial = Ge\nmodel = bare\nd = 2\ntol-quad = 1e-6\n")
+    rc, out, _ = run_cli(capsys, "materials", "--config", str(cfg))
+    assert rc == 0
+    meta, _, _, _ = parse_csv(out)
+    assert not {"model", "d_um", "tol_quad"} & set(meta)
+    assert meta["T_K"] == "300.0"
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    # every documented command must run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.splitlines() if line.startswith("casdrift ")]
+    assert len(commands) == 9
+    monkeypatch.chdir(tmp_path)
+    for line in commands:
+        assert main(shlex.split(line)[1:]) == 0, line
+
+
+def test_readme_flag_table_matches_the_inputs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("## Library use", 1)[0]
+    documented = {}
+    for line in section.splitlines():
+        cells = line.split("|")
+        if line.startswith("| `") and len(cells) == 4:
+            flags = re.findall(r"--[\w-]+", cells[2])
+            for command in re.findall(r"`([\w-]+)`", cells[1]):
+                documented[command] = flags
+    assert documented == {command: [f"--{inp.flag}" for inp in inputs]
+                          for command, inputs in COMMAND_INPUTS.items()}

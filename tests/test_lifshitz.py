@@ -4,6 +4,7 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casdrift import lifshitz, phys
 from casdrift.config import parse_model
@@ -34,6 +35,11 @@ from oracles import (
 D_1UM = 1e-4
 TIGHT = Tolerances(quad_rel=1e-10, sum_rel=1e-12)
 MODEL_NAMES = ("bare", "cond", "drift", "nonlocal")
+PLATE_MODELS = MODEL_NAMES + ("ideal",)
+
+
+def plate_model(name, spec):
+    return IdealMetal() if name == "ideal" else parse_model(name, spec, None)
 
 # Frozen reference values for the full drift free energy / pressure at
 # d = 1 um, T = 300 K, computed with an independent 30-digit brute-force
@@ -220,6 +226,19 @@ class TestNonlocalPlates:
                 b = op(Geometry(d, si, ge), 300.0).value
                 assert_close(a, b, 1e-12, what=f"{op.__name__} d={d}")
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from((GE, SI)), st.sampled_from(PLATE_MODELS),
+           st.sampled_from((GE, SI)), st.sampled_from(PLATE_MODELS),
+           st.floats(min_value=0.3, max_value=3.0))
+    def test_plate_swap_symmetry(self, spec1, model1, spec2, model2, d_um):
+        p1 = Plate(spec1, plate_model(model1, spec1))
+        p2 = Plate(spec2, plate_model(model2, spec2))
+        d = d_um * 1e-4
+        for op in (free_energy_per_area, pressure):
+            a = op(Geometry(d, p1, p2), 300.0).value
+            b = op(Geometry(d, p2, p1), 300.0).value
+            assert_close(a, b, 1e-12, what=f"{op.__name__} {p1} | {p2} d={d_um} um")
+
 
 class TestScalarQuadratureReference:
     def test_terms_match_scalar_quad(self):
@@ -341,6 +360,12 @@ class TestGMode:
                       (np.array([0.0, xi1]), 1e4)):  # static needs a float xi
             with pytest.raises(DomainError):
                 g_mode(geom, 300.0, xi, k)
+
+    def test_rejects_bad_temperature(self):
+        geom = Geometry.identical(D_1UM, GE, Bare())
+        for T in (0.0, -5.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="temperature"):
+                g_mode(geom, T, 1e14, 1e4)
 
     def test_non_passive_element_is_refused(self, monkeypatch):
         # r1 r2 = 2.25 gives Q >= 1 at k = 1e2 only, where 2 d k = 0.02
