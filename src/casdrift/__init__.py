@@ -53,13 +53,7 @@ from .reflection import (
     ReflectionModel,
     amplitude_fn,
 )
-from .spatial import (
-    DriftTensor,
-    eps_perp_drift,
-    make_drift_tensor,
-    r_from_H_tilde,
-    verify_equivalence,
-)
+from .spatial import eps_perp_drift, r_from_H_tilde, verify_equivalence
 from .thermo import EntropyPoint, NernstReport, entropy, nernst_sweep
 
 __all__ = [name for name in dir() if not name.startswith("_")]

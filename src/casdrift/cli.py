@@ -60,8 +60,6 @@ _UNITS_NOTE = (
 def _fmt(v) -> str:
     if isinstance(v, str):
         return v
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
     return f"{v:.11e}"

@@ -97,10 +97,10 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def parse_distances_um(text: str) -> tuple:
-    """Parse '--d' syntax: '1.0' | '0.5,1,2' | 'start:stop:logN' (um).
+def _positive_list(text: str) -> tuple:
+    """Parse 'X' | 'X,Y,Z' | 'start:stop:logN' into positive finite values.
 
-    Raises ValueError saying what is wrong.
+    Values keep their order.  Raises ValueError saying what is wrong.
     """
     text = text.strip()
     if ":" in text:
@@ -116,9 +116,15 @@ def parse_distances_um(text: str) -> tuple:
         vals = [float(s) for s in text.split(",")]
     if any(not math.isfinite(v) or v <= 0.0 for v in vals):
         raise ValueError("values must be positive and finite")
-    if sorted(vals) != vals:
-        raise ValueError("values must be sorted ascending")
     return tuple(vals)
+
+
+def parse_distances_um(text: str) -> tuple:
+    """Parse '--d' syntax, '1.0' | '0.5,1,2' | 'start:stop:logN' (um), ascending."""
+    vals = _positive_list(text)
+    if sorted(vals) != list(vals):
+        raise ValueError("values must be sorted ascending")
+    return vals
 
 
 def parse_sigma0(text: str) -> float:
@@ -292,8 +298,8 @@ _T_LIST = Input("T-list", "T_list_K", _comma_list(_float_from_zero(False)),
 _FD_STEP = Input("fd-step", "fd_step_K", float, "finite-difference step [K]")
 _XI = Input("xi", "xi_rad_s", _comma_list(_float_from_zero(True)),
             "imaginary frequencies [rad/s], comma list", "0")
-# wavevector lists reuse the distance-list syntax, read as raw 1/cm
-_K = Input("k", "k_cm", parse_distances_um,
+# wavevector lists use the distance-list syntax, read as raw 1/cm, in any order
+_K = Input("k", "k_cm", _positive_list,
            "wavevectors [1/cm]: X | X,Y | start:stop:logN", "1e2:1e6:log25")
 _NK = Input("nk", "n_k", _count, "number of k grid points (default 20)", "20")
 _NXI = Input("nxi", "n_xi", _count, "number of xi grid points (default 20)", "20")

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -264,10 +263,3 @@ def material_state(spec: MaterialSpec, T: float) -> MaterialState:
         T=T, n0=n0, tau=tau, sigma0=sigma0, v_T=v_T,
         mobility=mobility, D=D, kappa=kappa, R_D=R_D, warnings=warnings,
     )
-
-
-@lru_cache(maxsize=256)
-def _material_state_cached(spec: MaterialSpec, T: float) -> MaterialState:
-    # MaterialSpec is frozen/hashable and material_state is pure.
-    return material_state(spec, T)
-

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import phys
 from .errors import DomainError
-from .materials import MaterialSpec, MaterialState, _material_state_cached
+from .materials import MaterialSpec, MaterialState, material_state
 
 __all__ = [
     "Bare",
@@ -92,7 +92,7 @@ class Drift:
 
 @dataclass(frozen=True)
 class Nonlocal:
-    """Drift physics routed through the spatial-dispersion tensor machinery."""
+    """Drift physics through the nonlocal tensor: ``spatial.nonlocal_amplitudes``."""
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,10 @@ def amplitude_fn(model: ReflectionModel, spec: MaterialSpec, T: float) -> Callab
 
     The returned closure owns the material state (computed once) and the
     per-model static branches; it is pure and safe to call from concurrent
-    workers.  It is the one way the package evaluates an amplitude: the
+    workers.  The cache gives one closure per (model, spec, T): the
+    engine's ``pair2 is pair1`` shortcut calls a pair shared by identical
+    plates once, and the benchmark's ``materials.states_built`` counts
+    closures.  It is the one way the package evaluates an amplitude: the
     Lifshitz engine's Q = r1 r2 exp(-2 d gamma0) kernel (behind both the
     Matsubara sum and ``g_mode``), the nonlocal cross-check and the CLI's
     ``reflect`` all call it.  The static TE amplitude is 0 for every model:
@@ -228,7 +231,7 @@ def amplitude_fn(model: ReflectionModel, spec: MaterialSpec, T: float) -> Callab
         return pair_cond
 
     if isinstance(model, Drift):
-        state = _material_state_cached(spec, T)
+        state = material_state(spec, T)
 
         def pair_drift(xi, k):
             if type(xi) is _ndarray:
@@ -248,10 +251,9 @@ def amplitude_fn(model: ReflectionModel, spec: MaterialSpec, T: float) -> Callab
         return pair_drift
 
     if isinstance(model, Nonlocal):
-        from . import spatial  # deferred: spatial depends on this module
+        from .spatial import nonlocal_amplitudes  # deferred: spatial imports this module
 
-        state = _material_state_cached(spec, T)
-        tensor = spatial.make_drift_tensor(spec, T)
+        state = material_state(spec, T)
 
         def pair_nonlocal(xi, k):
             if type(xi) is _ndarray:
@@ -260,9 +262,7 @@ def amplitude_fn(model: ReflectionModel, spec: MaterialSpec, T: float) -> Callab
                 lib = np if type(k) is _ndarray else math
                 if xi == 0.0:
                     return _drift_static_tm(k, eps0, state.kappa, lib), 0.0
-            ht_a, ht_b, ht_c, g, w = spatial._h_tildes(tensor, xi, k, lib)
-            Ht_tm = spatial._assemble_H_tm_tilde(ht_a, ht_b, ht_c, k, g, w, xi)
-            return spatial.r_from_H_tilde(Ht_tm), spatial.r_from_H_tilde(ht_b)
+            return nonlocal_amplitudes(xi, k, state, perm, lib)
         return pair_nonlocal
 
     raise DomainError(f"unknown reflection model {model!r}")

@@ -31,29 +31,28 @@ amplitudes identically: H_te = gamma0/eta_T and H_tm = eps gamma0 / chi
 suite and the ``nonlocal-verify`` command).
 
 h_b and h_c have closed forms because eps_perp does not depend on q_z; h_a
-has one by partial fractions of the Lorentzian-in-q^2 eps_par, so the
-library evaluates eps_par only through that closed form.  The closed forms
-accept floats or numpy arrays, so the ``Nonlocal`` amplitude provider
-evaluates whole (xi, k) grids through them.  The test suite holds all three
-against adaptive q_z quadrature of the tensor components.
+has one by partial fractions of the Lorentzian-in-q^2 eps_par, so no tensor
+object is needed: :func:`nonlocal_amplitudes` evaluates eps(i xi) once,
+feeds it to :func:`eps_perp_drift` and :func:`h_a`, and returns (r_TM, r_TE)
+for floats or numpy arrays.  The ``Nonlocal`` provider calls it for xi > 0;
+the test suite holds all three integrals against adaptive q_z quadrature.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import phys
 from .errors import DomainError, EvaluationError
-from .materials import MaterialSpec, MaterialState, bare_eps, _material_state_cached
+from .materials import MaterialSpec, MaterialState, SellmeierPermittivity
 from .reflection import Drift, Nonlocal, amplitude_fn
 
 __all__ = [
-    "DriftTensor",
     "eps_perp_drift",
-    "make_drift_tensor",
+    "h_a",
+    "nonlocal_amplitudes",
     "r_from_H_tilde",
     "verify_equivalence",
 ]
@@ -69,7 +68,7 @@ def _any(mask) -> bool:
 
 # --- drift-model tensor components -------------------------------------------
 
-def eps_perp_drift(k, xi, state: MaterialState, eps_bar):
+def eps_perp_drift(xi, state: MaterialState, eps_bar):
     """Transverse drift permittivity eps(i xi) + 4 pi sigma0/(xi(1 + xi tau)).
 
     Independent of k.  Satisfies k^2 + eps_perp xi^2/c^2 = eta_T^2 exactly.
@@ -84,51 +83,27 @@ def eps_perp_drift(k, xi, state: MaterialState, eps_bar):
     return eps_bar + _FOURPI * state.sigma0 / (xi * (1.0 + xi * state.tau))
 
 
-@dataclass(frozen=True)
-class DriftTensor:
-    """Drift permittivity tensor diag(eps_perp, eps_perp, eps_par) at one T.
+def h_a(k, xi, state: MaterialState, eps_bar, lib=math):
+    """h_a = (a0 + kq^2 k/eta_L) / (eps (a0 + kq^2)).
 
-    ``eps_perp(q, xi)`` takes the wavevector magnitude [1/cm] and imaginary
-    frequency [rad/s]; in-plane evaluation passes q = k.  eps_par varies
-    with q (Debye screening) and enters only through ``h_a``, the exact
-    closed form of its longitudinal integral.
+    a0 = xi(1+xi tau)/D, kq^2 = 4 pi e^2 n0/(eps kB T) and
+    eta_L = sqrt(k^2 + kq^2 + a0), by partial fractions of the
+    Lorentzian-in-q^2 component.  ``lib`` is numpy for array input.
     """
-
-    spec: MaterialSpec
-    state: MaterialState
-
-    def eps_perp(self, q: float, xi: float) -> float:
-        return eps_perp_drift(q, xi, self.state, bare_eps(self.spec, xi))
-
-    def h_a(self, k, xi, lib=math):
-        """h_a = (a0 + kq^2 k/eta_L) / (eps (a0 + kq^2)).
-
-        a0 = xi(1+xi tau)/D, kq^2 = 4 pi e^2 n0/(eps kB T) and
-        eta_L = sqrt(k^2 + kq^2 + a0), by partial fractions of the
-        Lorentzian-in-q^2 component.  ``lib`` is numpy for array input.
-        """
-        state = self.state
-        eps = bare_eps(self.spec, xi)
-        a0 = xi * (1.0 + xi * state.tau) / state.D
-        kq2 = _FOURPI * phys.E_CHARGE**2 * state.n0 / (eps * phys.K_B * state.T)
-        eta_l = lib.sqrt(k**2 + kq2 + a0)
-        return (a0 + kq2 * k / eta_l) / (eps * (a0 + kq2))
-
-
-def make_drift_tensor(spec: MaterialSpec, T: float) -> DriftTensor:
-    """Drift-model permittivity tensor for one material at temperature T."""
-    return DriftTensor(spec=spec, state=_material_state_cached(spec, T))
+    a0 = xi * (1.0 + xi * state.tau) / state.D
+    kq2 = _FOURPI * phys.E_CHARGE**2 * state.n0 / (eps_bar * phys.K_B * state.T)
+    eta_l = lib.sqrt(k**2 + kq2 + a0)
+    return (a0 + kq2 * k / eta_l) / (eps_bar * (a0 + kq2))
 
 
 # --- the three q_z integrals ---------------------------------------------------
 
-def _h_tildes(tensor, xi, k, lib=math):
-    """(h~_a, h~_b, h~_c, gamma0, w) at xi > 0 for floats or arrays."""
+def _h_tildes(ep, ha, xi, k, lib=math):
+    """(h~_a, h~_b, h~_c, gamma0, w) at xi > 0 from eps_perp ``ep`` and h_a ``ha``."""
     g = lib.hypot(k, xi / phys.C_LIGHT)
     w = (xi / phys.C_LIGHT) ** 2
-    ep = tensor.eps_perp(k, xi)   # transverse component, local in q
     eta_t = lib.sqrt(k * k + ep * w)
-    ht_a = tensor.h_a(k, xi, lib) - 1.0
+    ht_a = ha - 1.0
     # gamma0^2 - eta_T^2 = (1 - eps_perp) w: differences of near-equal
     # wavevectors are formed from the permittivity defect, never by
     # subtracting the roots.
@@ -163,6 +138,16 @@ def r_from_H_tilde(H_tilde):
     return H_tilde / (2.0 + H_tilde)
 
 
+def nonlocal_amplitudes(xi, k, state: MaterialState,
+                        permittivity: SellmeierPermittivity, lib=math):
+    """(r_TM, r_TE) of the drift tensor at xi > 0; ``lib`` is numpy for arrays."""
+    eps = permittivity.at(xi)
+    ht_a, ht_b, ht_c, g, w = _h_tildes(
+        eps_perp_drift(xi, state, eps), h_a(k, xi, state, eps, lib), xi, k, lib)
+    Ht_tm = _assemble_H_tm_tilde(ht_a, ht_b, ht_c, k, g, w, xi)
+    return r_from_H_tilde(Ht_tm), r_from_H_tilde(ht_b)
+
+
 # --- cross-validation grid -----------------------------------------------------
 
 _K_RANGE = (1.0e2, 1.0e6)
@@ -188,12 +173,10 @@ def verify_equivalence(spec: MaterialSpec, T: float, n_k: int = 20, n_xi: int = 
         return [lo * r**i for i in range(n)]
 
     rows = []
-    max_rel = 0.0
     for k in logspace(*_K_RANGE, n_k):
         for xi in logspace(_XI1_FACTORS[0] * xi1, _XI1_FACTORS[1] * xi1, n_xi):
             for pol, r_d, r_n in zip(("TM", "TE"), pair_drift(xi, k),
                                      pair_nonlocal(xi, k)):
                 rel = abs(r_n - r_d) / max(abs(r_d), 1.0e-30)
-                max_rel = max(max_rel, rel)
                 rows.append((pol, k, xi, r_d, r_n, rel))
-    return rows, max_rel
+    return rows, max(row[5] for row in rows)

@@ -20,12 +20,13 @@ library result by an independent route:
 The rest are verification helpers that only the tests call: the (xi, k)
 evaluation point :class:`Mode` the record-style helpers take, the drift
 quantities and H-functions as records (:func:`drift_quantities`,
-:func:`h_integrals`), the longitudinal tensor component the q_z quadrature
-needs (:func:`full_drift_tensor`), the xi-stencil probe of the mode function
-(:func:`g_probe`), the exact ideal-metal n = 0 TM terms, the n = 0 swaps
-of the single-mode analysis (:func:`pc_n0_ratio_asymptote`,
-:func:`n0_swapped_energy`) and the carrier-free material
-(:func:`zero_carrier`) with the screening frequency (:func:`omega_c`).
+:func:`h_integrals`), the drift tensor with the longitudinal component
+the q_z quadrature needs (:func:`full_drift_tensor`), the xi-stencil probe
+of the mode function (:func:`g_probe`), the exact ideal-metal n = 0 TM
+terms, the n = 0 swaps of the single-mode analysis
+(:func:`pc_n0_ratio_asymptote`, :func:`n0_swapped_energy`) and the
+carrier-free material (:func:`zero_carrier`) with the screening frequency
+(:func:`omega_c`).
 """
 
 from __future__ import annotations
@@ -41,10 +42,9 @@ from casdrift import phys
 from casdrift.errors import CasdriftError, DomainError, EvaluationError
 from casdrift.lifshitz import (
     Geometry, Tolerances, _with_model, free_energy_per_area, g_mode)
-from casdrift.materials import (
-    MaterialSpec, MaterialState, _material_state_cached, bare_eps)
+from casdrift.materials import MaterialSpec, MaterialState, bare_eps, material_state
 from casdrift.reflection import Bare, ReflectionModel, _defects, _drift_parts
-from casdrift.spatial import DriftTensor, _assemble_H_tm_tilde, _h_tildes
+from casdrift.spatial import _assemble_H_tm_tilde, _h_tildes, eps_perp_drift, h_a
 
 
 class OracleError(CasdriftError):
@@ -260,16 +260,18 @@ class HFunctions:
     gamma0: float
 
 
-def h_integrals(tensor: DriftTensor, mode: Mode) -> HFunctions:
+def h_integrals(tensor, mode: Mode) -> HFunctions:
     """Evaluate h_a, h_b, h_c in closed form and assemble H_tm, H_te.
 
+    ``tensor`` supplies the numbers ``eps_perp(k, xi)`` and ``h_a(k, xi)``.
     Tilded combinations subtract the eps == 1 evaluation, which equals 1
     for all three integrals.
     """
     if mode.xi <= 0.0:
         raise DomainError("h-integrals are defined for xi > 0")
     k, xi = mode.k, mode.xi
-    ht_a, ht_b, ht_c, g, w = _h_tildes(tensor, xi, k)
+    ht_a, ht_b, ht_c, g, w = _h_tildes(
+        tensor.eps_perp(k, xi), tensor.h_a(k, xi), xi, k)
     Ht_tm = _assemble_H_tm_tilde(ht_a, ht_b, ht_c, k, g, w, xi)
     h_b = 1.0 + ht_b
     return HFunctions(
@@ -304,20 +306,30 @@ def eps_par_drift(k: float, xi: float, state: MaterialState, eps_bar: float) -> 
 
 
 @dataclass(frozen=True)
-class FullDriftTensor(DriftTensor):
-    """The library's drift tensor plus the q-dependent ``eps_par`` component.
+class FullDriftTensor:
+    """Drift tensor diag(eps_perp, eps_perp, eps_par) at one T, with ``h_a``.
 
-    The library needs eps_par only through the closed form ``h_a``; the
-    q_z quadrature integrates the component itself.
+    The components take (q, xi).  The library needs eps_par only through
+    the closed form ``h_a``; the q_z quadrature integrates the component
+    itself.
     """
+
+    spec: MaterialSpec
+    state: MaterialState
+
+    def eps_perp(self, q: float, xi: float) -> float:
+        return eps_perp_drift(xi, self.state, bare_eps(self.spec, xi))
 
     def eps_par(self, q: float, xi: float) -> float:
         return eps_par_drift(q, xi, self.state, bare_eps(self.spec, xi))
 
+    def h_a(self, k: float, xi: float) -> float:
+        return h_a(k, xi, self.state, bare_eps(self.spec, xi))
+
 
 def full_drift_tensor(spec: MaterialSpec, T: float) -> FullDriftTensor:
-    """Drift tensor with eps_par, on the library's cached material state."""
-    return FullDriftTensor(spec=spec, state=_material_state_cached(spec, T))
+    """Drift tensor of one material at temperature T."""
+    return FullDriftTensor(spec=spec, state=material_state(spec, T))
 
 
 # --- q_z quadrature of the surface integrals -----------------------------------

@@ -1,9 +1,11 @@
 """The package's public surface, pinned, and the README's library example.
 
 Names that only the tests call live in ``tests/oracles.py``; none of them
-is exported, and a new export has to be added here on purpose.
+is exported, and a new export has to be added here on purpose.  No source
+module reaches into another's private names.
 """
 
+import ast
 from pathlib import Path
 
 import casdrift
@@ -27,8 +29,7 @@ PUBLIC = {
     "Bare", "Conductivity", "Drift", "IdealMetal", "Nonlocal",
     "ReflectionModel", "amplitude_fn",
     # spatial
-    "DriftTensor", "eps_perp_drift", "make_drift_tensor", "r_from_H_tilde",
-    "verify_equivalence",
+    "eps_perp_drift", "r_from_H_tilde", "verify_equivalence",
     # thermo
     "EntropyPoint", "NernstReport", "entropy", "nernst_sweep",
 }
@@ -37,6 +38,33 @@ PUBLIC = {
 def test_public_names_are_pinned():
     assert set(casdrift.__all__) == PUBLIC
     assert len(casdrift.__all__) == len(PUBLIC)
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_uses_another_modules_private_names():
+    # flags `from .m import _x` and `m._x` for another casdrift module m
+    src = Path(casdrift.__file__).resolve().parent
+    modules = {p.stem for p in src.glob("*.py")}
+    hits = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        others = set()  # local names bound to another casdrift module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.split(".")[0] == "casdrift"):
+                for a in node.names:
+                    if node.module in (None, "casdrift") and a.name in modules:
+                        if a.name != path.stem:
+                            others.add(a.asname or a.name)
+                    elif _is_private(a.name):
+                        hits.append(f"{path.name}: from {node.module} import {a.name}")
+        hits += [f"{path.name}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id in others and _is_private(node.attr)]
+    assert hits == []
 
 
 def test_readme_library_block_runs():

@@ -154,6 +154,19 @@ def test_unsorted_distances_exit_2(capsys):
     assert "sorted" in err
 
 
+def test_reflect_k_in_given_order(capsys):
+    # wavevectors need no order: rows follow the list and k_cm records it
+    rc, out, _ = run_cli(capsys, "reflect", "--material", "Ge", "--model",
+                         "drift", "--xi", "1e14", "--k", "1e5,1e4")
+    assert rc == 0
+    meta, _, rows, _ = parse_csv(out)
+    assert meta["k_cm"] == "100000.0,10000.0"
+    assert [float(r[3]) for r in rows] == [1e5, 1e5, 1e4, 1e4]
+    for bad in ("1e5,-1e4", "1e5,nan"):
+        rc, _, err = run_cli(capsys, "reflect", "--material", "Ge", "--k", bad)
+        assert rc == 2 and "positive and finite" in err
+
+
 def test_sigma0_fraction_syntax(capsys):
     rc, out, _ = run_cli(capsys, "reflect", "--material", "Ge", "--model",
                          "cond", "--sigma0", "1/43", "--xi", "0", "--k", "1e4")

@@ -72,6 +72,21 @@ class TestIdealMetalAnchors:
         assert_close(res.per_n_terms[0][2],
                      ideal_metal_n0_tm_pressure(D_1UM, 300.0), 1e-8)
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(min_value=50.0, max_value=200.0),
+           st.floats(min_value=0.3, max_value=3.0),
+           st.floats(min_value=0.5, max_value=2.0),
+           st.floats(min_value=0.5, max_value=2.0))
+    def test_n0_tm_term_scales_as_T_over_d_power(self, T, d_um, a, b):
+        # the n = 0 TM integral depends on neither T nor d, so the term
+        # carries the prefactor's T/d^2 (energy) and T/d^3 (pressure)
+        for op, power in ((free_energy_per_area, 2), (pressure, 3)):
+            def n0_tm(T, d_um):
+                geom = Geometry.identical(d_um * 1e-4, GE, IdealMetal())
+                return op(geom, T).per_n_terms[0][2]
+            assert_close(n0_tm(a * T, b * d_um), a / b**power * n0_tm(T, d_um),
+                         1e-12, what=f"{op.__name__} T={T} d={d_um} a={a} b={b}")
+
     def test_analytic_forms(self):
         assert_close(ideal_metal_n0_tm_energy(D_1UM, 300.0),
                      -phys.K_B * 300.0 * ZETA3 / (16 * math.pi * D_1UM**2), 1e-15)

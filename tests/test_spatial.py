@@ -6,7 +6,6 @@ from casdrift.materials import GE, SI, bare_eps, material_state
 from casdrift.reflection import Drift, amplitude_fn
 from casdrift.spatial import (
     eps_perp_drift,
-    make_drift_tensor,
     r_from_H_tilde,
     verify_equivalence,
 )
@@ -34,7 +33,7 @@ class TestDriftTensorComponents:
         for k in (1e3, 1e5):
             for xi in (0.1 * XI1, XI1, 50 * XI1):
                 eps = bare_eps(GE, xi)
-                ep = eps_perp_drift(k, xi, GE_STATE, eps)
+                ep = eps_perp_drift(xi, GE_STATE, eps)
                 eta_t = drift_quantities(Mode(xi=xi, k=k), GE_STATE, eps).eta_T
                 assert_close(k * k + ep * (xi / phys.C_LIGHT) ** 2,
                              eta_t**2, 1e-12)
@@ -42,11 +41,11 @@ class TestDriftTensorComponents:
     def test_eps_perp_reduces_to_bare_without_carriers(self):
         spec = zero_carrier(GE)
         st = material_state(spec, 300.0)
-        assert eps_perp_drift(1e4, XI1, st, bare_eps(spec, XI1)) == bare_eps(spec, XI1)
+        assert eps_perp_drift(XI1, st, bare_eps(spec, XI1)) == bare_eps(spec, XI1)
 
     def test_eps_perp_requires_positive_xi(self):
         with pytest.raises(DomainError):
-            eps_perp_drift(1e4, 0.0, GE_STATE, 16.2)
+            eps_perp_drift(0.0, GE_STATE, 16.2)
 
     def test_eps_par_static_uniaxial_limit(self):
         # xi = 1e-5 xi_1: the diffusion term xi(1+xi tau)/D is still ~1e-2
@@ -75,7 +74,7 @@ class TestDriftTensorComponents:
             perp_ref = mp.mpf(eps) + 4 * mp.pi * sig0 / (xim * (1 + xim * tau))
             par_ref = mp.mpf(eps) + 4 * mp.pi * sig0 / (
                 xim * (1 + xim * tau) + D * km**2)
-            assert_close(eps_perp_drift(k, xi, st, eps), float(perp_ref), 1e-13)
+            assert_close(eps_perp_drift(xi, st, eps), float(perp_ref), 1e-13)
             assert_close(eps_par_drift(k, xi, st, eps), float(par_ref), 1e-13)
 
     def test_components_at_least_one_for_builtins(self):
@@ -84,7 +83,7 @@ class TestDriftTensorComponents:
             for k in (1e3, 1e5):
                 for xi in (0.01 * XI1, XI1, 100 * XI1):
                     eps = bare_eps(spec, xi)
-                    assert eps_perp_drift(k, xi, st, eps) >= 1.0
+                    assert eps_perp_drift(xi, st, eps) >= 1.0
                     assert eps_par_drift(k, xi, st, eps) >= 1.0
 
     def test_eps_par_validation(self):
@@ -130,7 +129,7 @@ class TestHIntegrals:
                     abs(a.h_tilde_b), 1e-10)
 
     def test_h_b_is_gamma_over_eta_t(self):
-        tensor = make_drift_tensor(GE, 300.0)
+        tensor = full_drift_tensor(GE, 300.0)
         for k, xi in ((1e4, XI1), (2e5, 0.2 * XI1)):
             hf = h_integrals(tensor, Mode(xi=xi, k=k))
             dq = drift_quantities(Mode(xi=xi, k=k), GE_STATE, bare_eps(GE, xi))
@@ -155,7 +154,7 @@ class TestHIntegrals:
 
 class TestHFunctionsIdentity:
     def test_H_tm_times_chi_over_eps_gamma_is_one(self):
-        tensor = make_drift_tensor(GE, 300.0)
+        tensor = full_drift_tensor(GE, 300.0)
         for k in logspace(1e2, 1e6, 8):
             for xi in logspace(1e-3 * XI1, 1e3 * XI1, 8):
                 m = Mode(xi=xi, k=k)
@@ -194,7 +193,7 @@ class TestEquivalenceTheorem:
     def test_round_trip_through_H_tm(self):
         # feeding the longitudinal component back through the H machinery
         # reproduces the transport-theory TM amplitude
-        tensor = make_drift_tensor(GE, 300.0)
+        tensor = full_drift_tensor(GE, 300.0)
         pair = amplitude_fn(Drift(), GE, 300.0)
         for k, xi in ((5e3, 0.4 * XI1), (1e5, 3 * XI1)):
             hf = h_integrals(tensor, Mode(xi=xi, k=k))
