@@ -30,6 +30,7 @@ CSV is still written).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Iterable, Sequence
 
@@ -38,7 +39,7 @@ import numpy as np
 from . import __version__, phys
 from .config import (COMMAND_INPUTS, RunConfig, build_run_config,
                      parse_distances_um, parse_model)
-from .errors import CasdriftError, ConfigError, DomainError
+from .errors import CasdriftError, ConfigError, DomainError, EvaluationError
 from .lifshitz import (
     Geometry,
     energy_ratio,
@@ -118,6 +119,8 @@ def _cmd_reflect(cfg: RunConfig) -> int:
     for xi in cfg.xi:
         for k in cfg.k:
             r_tm_v, r_te_v = pair(xi, k)
+            if not (math.isfinite(r_tm_v) and math.isfinite(r_te_v)):
+                raise EvaluationError("non-finite reflection amplitude", k=k, xi=xi)
             rows.append((model_name, "TM", xi, k, r_tm_v))
             rows.append((model_name, "TE", xi, k, r_te_v))
     _emit(cfg, ("model", "polarization", "xi_rad_s", "k_cm", "r"), rows)
@@ -133,7 +136,7 @@ def _cmd_energy(cfg: RunConfig) -> int:
         res = op(geom, cfg.temperature, tolerances=cfg.tolerances)
         rows.append((d / phys.CM_PER_UM, res.value,
                      res.quadrature_error_estimate,
-                     res.truncation_error_estimate, res.n_truncated_at))
+                     res.truncation_error_estimate, len(res.per_n_terms)))
         warnings.extend(w for w in res.warnings if w not in warnings)
     value_col = "E_erg_cm2" if cfg.subcommand == "energy" else "P_dyn_cm2"
     _emit(cfg, ("d_um", value_col, "quad_err", "trunc_err", "n_terms"),
@@ -264,7 +267,7 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError) as exc:
         print(f"casdrift: configuration error: {exc}", file=sys.stderr)
         return 2
-    except CasdriftError as exc:
+    except (CasdriftError, ArithmeticError) as exc:
         print(f"casdrift: numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -31,9 +31,9 @@ the TE amplitude is the ordinary Fresnel form ``(g0 - eta_T)/(g0 + eta_T)``.
 Static (xi = 0) values are never obtained by substituting xi = 0 into the
 xi-singular expressions; each model has an explicit analytic static branch.
 
-The providers built by :func:`amplitude_fn` accept floats or numpy arrays
-through one body: floats run on :mod:`math` (the cheapest scalar path),
-arrays on numpy with the same operations in the same order.
+Each kernel is one body of plain arithmetic that serves floats and numpy
+arrays alike: square roots are written ``x ** 0.5``, which numpy evaluates
+as ``np.sqrt`` and Python floats through libm ``pow``.
 """
 
 from __future__ import annotations
@@ -125,19 +125,19 @@ def _defects(xi: float, state: MaterialState, eps_bar: float):
     return w, X, Y
 
 
-def _drift_parts(xi, k, state: MaterialState, eps_bar, lib=math):
+def _drift_parts(xi, k, state: MaterialState, eps_bar):
     """(w, X, eta_L, eta_T, chi) at xi > 0.
 
     Writing X = eta_T^2 - k^2 and Y = eta_L^2 - k^2, the chi bracket is
     rearranged as
         eta_L eta_T - k^2 = (k^2 (X + Y) + X Y) / (eta_L eta_T + k^2),
     which keeps the sigma0 = 0 identity chi == eta_T exact in floating
-    point.  ``lib`` is :mod:`math` for floats and numpy for arrays.
+    point.
     """
     k2 = k * k
     w, X, Y = _defects(xi, state, eps_bar)
-    etaL_v = lib.sqrt(k2 + Y)
-    etaT_v = lib.sqrt(k2 + X)
+    etaL_v = (k2 + Y) ** 0.5
+    etaT_v = (k2 + X) ** 0.5
     cross = (k2 * (X + Y) + X * Y) / (etaL_v * etaT_v + k2)  # eta_L eta_T - k^2
     chi_v = (k2 + eps_bar * w * cross / X) / etaL_v
     return w, X, etaL_v, etaT_v, chi_v
@@ -145,7 +145,7 @@ def _drift_parts(xi, k, state: MaterialState, eps_bar, lib=math):
 
 # --- Fresnel helpers ---------------------------------------------------------
 
-def _fresnel_pair(k, w, eps, X, lib=math):
+def _fresnel_pair(k, w, eps, X):
     """(r_tm, r_te) for a local permittivity eps at xi > 0.
 
     X = eps-induced transverse defect (eta^2 - k^2) is supplied separately
@@ -153,17 +153,22 @@ def _fresnel_pair(k, w, eps, X, lib=math):
     (eps g0)^2 - eta^2 = (eps - 1)(k^2 (eps + 1) + eps w) + (eps w - X),
     exact for X = eps w, which keeps r == 0 at eps == 1 exact.
     """
-    g = lib.sqrt(k * k + w)
-    eta = lib.sqrt(k * k + X)
+    g = (k * k + w) ** 0.5
+    eta = (k * k + X) ** 0.5
     num_tm = (eps - 1.0) * (k * k * (eps + 1.0) + eps * w) + (eps * w - X)
     r_tm_v = num_tm / ((eps * g + eta) ** 2)
     r_te_v = (w - X) / ((g + eta) ** 2)
     return r_tm_v, r_te_v
 
 
-def _drift_static_tm(k, eps0: float, kappa: float, lib=math):
-    q = lib.hypot(k, kappa)
-    return (eps0 * q - k) / (eps0 * q + k)
+def _drift_static_tm(k, eps0: float, kappa: float):
+    """(eps0 q - k)/(eps0 q + k), q^2 = k^2 + kappa^2, through c = k/q.
+
+    Scale-safe: exact at kappa = 0, and 1 once (kappa/k)^2 overflows.
+    """
+    a = kappa / k
+    c = (1.0 + a * a) ** -0.5
+    return (eps0 - c) / (eps0 + c)
 
 
 # --- per-model amplitude providers -------------------------------------------
@@ -201,48 +206,36 @@ def amplitude_fn(model: ReflectionModel, spec: MaterialSpec, T: float) -> Callab
 
     if isinstance(model, Bare):
         def pair_bare(xi, k):
-            if type(xi) is _ndarray:
-                lib = np
-            else:
-                lib = np if type(k) is _ndarray else math
-                if xi == 0.0:
-                    return (eps0 - 1.0) / (eps0 + 1.0), 0.0
+            if type(xi) is not _ndarray and xi == 0.0:
+                return (eps0 - 1.0) / (eps0 + 1.0), 0.0
             eps = perm.at(xi)
             w = (xi / phys.C_LIGHT) ** 2
-            return _fresnel_pair(k, w, eps, eps * w, lib)
+            return _fresnel_pair(k, w, eps, eps * w)
         return pair_bare
 
     if isinstance(model, Conductivity):
         sigma0 = model.sigma0
 
         def pair_cond(xi, k):
-            if type(xi) is _ndarray:
-                lib = np
-            else:
-                lib = np if type(k) is _ndarray else math
-                if xi == 0.0:
-                    # 4 pi sigma0 / xi diverges: perfect TM reflector.
-                    return (1.0 if sigma0 > 0.0 else (eps0 - 1.0) / (eps0 + 1.0)), 0.0
+            if type(xi) is not _ndarray and xi == 0.0:
+                # 4 pi sigma0 / xi diverges: perfect TM reflector.
+                return (1.0 if sigma0 > 0.0 else (eps0 - 1.0) / (eps0 + 1.0)), 0.0
             eps_bare = perm.at(xi)
             eps = eps_bare + _FOURPI * sigma0 / xi
             w = (xi / phys.C_LIGHT) ** 2
             X = eps_bare * w + _FOURPI * sigma0 * xi / phys.C_LIGHT**2
-            return _fresnel_pair(k, w, eps, X, lib)
+            return _fresnel_pair(k, w, eps, X)
         return pair_cond
 
     if isinstance(model, Drift):
         state = material_state(spec, T)
 
         def pair_drift(xi, k):
-            if type(xi) is _ndarray:
-                lib = np
-            else:
-                lib = np if type(k) is _ndarray else math
-                if xi == 0.0:
-                    return _drift_static_tm(k, eps0, state.kappa, lib), 0.0
+            if type(xi) is not _ndarray and xi == 0.0:
+                return _drift_static_tm(k, eps0, state.kappa), 0.0
             eps = perm.at(xi)
-            w, X, _, etaT_v, chi_v = _drift_parts(xi, k, state, eps, lib)
-            g = lib.hypot(k, xi / phys.C_LIGHT)
+            w, X, _, etaT_v, chi_v = _drift_parts(xi, k, state, eps)
+            g = (k * k + w) ** 0.5
             r_tm_v = (eps * g - chi_v) / (eps * g + chi_v)
             # TE via the defect form: w - X has no cancellation, unlike
             # gamma0 - eta_T when both tend to k.
@@ -256,13 +249,9 @@ def amplitude_fn(model: ReflectionModel, spec: MaterialSpec, T: float) -> Callab
         state = material_state(spec, T)
 
         def pair_nonlocal(xi, k):
-            if type(xi) is _ndarray:
-                lib = np
-            else:
-                lib = np if type(k) is _ndarray else math
-                if xi == 0.0:
-                    return _drift_static_tm(k, eps0, state.kappa, lib), 0.0
-            return nonlocal_amplitudes(xi, k, state, perm, lib)
+            if type(xi) is not _ndarray and xi == 0.0:
+                return _drift_static_tm(k, eps0, state.kappa), 0.0
+            return nonlocal_amplitudes(xi, k, state, perm)
         return pair_nonlocal
 
     raise DomainError(f"unknown reflection model {model!r}")

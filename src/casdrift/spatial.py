@@ -83,26 +83,26 @@ def eps_perp_drift(xi, state: MaterialState, eps_bar):
     return eps_bar + _FOURPI * state.sigma0 / (xi * (1.0 + xi * state.tau))
 
 
-def h_a(k, xi, state: MaterialState, eps_bar, lib=math):
-    """h_a = (a0 + kq^2 k/eta_L) / (eps (a0 + kq^2)).
+def h_a(k, xi, state: MaterialState, eps_bar):
+    """h_a = (a0 + kq^2 k/eta_L) / (eps (a0 + kq^2)), for floats or arrays.
 
     a0 = xi(1+xi tau)/D, kq^2 = 4 pi e^2 n0/(eps kB T) and
     eta_L = sqrt(k^2 + kq^2 + a0), by partial fractions of the
-    Lorentzian-in-q^2 component.  ``lib`` is numpy for array input.
+    Lorentzian-in-q^2 component.
     """
     a0 = xi * (1.0 + xi * state.tau) / state.D
     kq2 = _FOURPI * phys.E_CHARGE**2 * state.n0 / (eps_bar * phys.K_B * state.T)
-    eta_l = lib.sqrt(k**2 + kq2 + a0)
+    eta_l = (k * k + kq2 + a0) ** 0.5
     return (a0 + kq2 * k / eta_l) / (eps_bar * (a0 + kq2))
 
 
 # --- the three q_z integrals ---------------------------------------------------
 
-def _h_tildes(ep, ha, xi, k, lib=math):
+def _h_tildes(ep, ha, xi, k):
     """(h~_a, h~_b, h~_c, gamma0, w) at xi > 0 from eps_perp ``ep`` and h_a ``ha``."""
-    g = lib.hypot(k, xi / phys.C_LIGHT)
     w = (xi / phys.C_LIGHT) ** 2
-    eta_t = lib.sqrt(k * k + ep * w)
+    g = (k * k + w) ** 0.5
+    eta_t = (k * k + ep * w) ** 0.5
     ht_a = ha - 1.0
     # gamma0^2 - eta_T^2 = (1 - eps_perp) w: differences of near-equal
     # wavevectors are formed from the permittivity defect, never by
@@ -139,11 +139,11 @@ def r_from_H_tilde(H_tilde):
 
 
 def nonlocal_amplitudes(xi, k, state: MaterialState,
-                        permittivity: SellmeierPermittivity, lib=math):
-    """(r_TM, r_TE) of the drift tensor at xi > 0; ``lib`` is numpy for arrays."""
+                        permittivity: SellmeierPermittivity):
+    """(r_TM, r_TE) of the drift tensor at xi > 0, for floats or arrays."""
     eps = permittivity.at(xi)
     ht_a, ht_b, ht_c, g, w = _h_tildes(
-        eps_perp_drift(xi, state, eps), h_a(k, xi, state, eps, lib), xi, k, lib)
+        eps_perp_drift(xi, state, eps), h_a(k, xi, state, eps), xi, k)
     Ht_tm = _assemble_H_tm_tilde(ht_a, ht_b, ht_c, k, g, w, xi)
     return r_from_H_tilde(Ht_tm), r_from_H_tilde(ht_b)
 

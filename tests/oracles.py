@@ -352,7 +352,7 @@ class ConstantTensor:
     def eps_par(self, q: float, xi: float) -> float:
         return self.par
 
-    def h_a(self, k, xi, lib=math) -> float:
+    def h_a(self, k, xi) -> float:
         return 1.0 / self.par
 
 

@@ -138,6 +138,34 @@ def test_numerical_failure_exits_3(capsys):
     assert "raise T" in err
 
 
+@pytest.mark.parametrize("model, T, xi, k", [
+    ("drift", "1", "1e-160", "1e4"),       # X underflows to 0: ZeroDivisionError
+    ("nonlocal", "300", "1e13", "1e160"),  # k^2 overflows
+    ("drift", "300", "1e13", "1e160"),     # k^2 overflows: a nan amplitude
+])
+def test_reflect_arithmetic_failure_exits_3(model, T, xi, k, capsys):
+    rc, out, err = run_cli(capsys, "reflect", "--material", "Ge", "--model", model,
+                           "--T", T, "--xi", xi, "--k", k)
+    assert rc == 3
+    assert "numerical failure" in err
+    assert "nan" not in out
+
+
+def test_n_terms_column_counts_the_summed_terms(capsys):
+    from casdrift.lifshitz import Geometry, free_energy_per_area, pressure
+    from casdrift.materials import GE
+    from casdrift.reflection import Drift
+
+    geom = Geometry.identical(1.0e-4, GE, Drift())
+    for command, op in (("energy", free_energy_per_area), ("pressure", pressure)):
+        rc, out, _ = run_cli(capsys, command, "--material", "Ge", "--model",
+                             "drift", "--d", "1")
+        assert rc == 0
+        _, header, rows, _ = parse_csv(out)
+        n_terms = int(rows[0][header.index("n_terms")])
+        assert n_terms == len(op(geom, 300.0).per_n_terms)
+
+
 def test_cond_model_default_sigma0(capsys):
     rc, out, _ = run_cli(capsys, "reflect", "--material", "Ge", "--model",
                          "cond", "--xi", "0", "--k", "1e4")

@@ -179,6 +179,15 @@ class TestStaticLimits:
         r = amplitude_fn(Drift(), GE, 300.0)(0.0, 1e-3 * st_.kappa)[0]
         assert r > 0.999
 
+    @pytest.mark.parametrize("model", [Drift(), Nonlocal()])
+    def test_static_tm_at_tiny_k_is_scale_safe(self, model):
+        # Ge has no carriers at 1 K (kappa = 0): the static TM is Bare's;
+        # at 300 K (kappa/k)^2 overflows and the plate reflects perfectly
+        assert material_state(GE, 1.0).kappa == 0.0
+        assert (amplitude_fn(model, GE, 1.0)(0.0, 1e-170)[0]
+                == amplitude_fn(Bare(), GE, 1.0)(0.0, 1e-170)[0])
+        assert amplitude_fn(model, GE, 300.0)(0.0, 1e-170)[0] == 1.0
+
     def test_static_tm_strictly_decreasing_in_k(self):
         vals = [amplitude_fn(Drift(), GE, 300.0)(0.0, k)[0]
                 for k in logspace(1e2, 1e6, 25)]
@@ -196,6 +205,27 @@ class TestIdealDielectricReduction:
                 rb = pair_b(xi, k)
                 assert_close(rd[0], rb[0], 1e-10, what=f"TM k={k:.2e} xi={xi:.2e}")
                 assert_close(rd[1], rb[1], 1e-10, what=f"TE k={k:.2e} xi={xi:.2e}")
+
+    def test_bare_is_conductivity_zero_bit_for_bit(self):
+        # Conductivity(0) adds exact zeros to eps and X, so Fresnel's
+        # exact-X form must give Bare's numbers bit for bit
+        def bits(v):
+            return np.asarray(v, dtype=float).tobytes()
+
+        ks = np.logspace(0.0, 7.0, 57)
+        for spec in (GE, SI):
+            for T in (300.0, 77.0, 1.0):
+                bare = amplitude_fn(Bare(), spec, T)
+                cond = amplitude_fn(Conductivity(sigma0=0.0), spec, T)
+                xis = [phys.matsubara_xi(n, T) for n in range(40)]
+                for xi in xis:
+                    for k in ks.tolist():
+                        assert bits(bare(xi, k)) == bits(cond(xi, k)), (spec.name, T, xi, k)
+                grid = np.array(xis[1:])[:, None]
+                for xi, k in ((0.0, ks), (grid, ks), (grid, np.broadcast_to(ks, (39, 57)))):
+                    got_b, got_c = bare(xi, k), cond(xi, k)
+                    for c in (0, 1):
+                        assert bits(got_b[c]) == bits(got_c[c]), (spec.name, T, c)
 
     def test_no_interface_gives_zero(self):
         # eps == 1: both Fresnel amplitudes vanish identically
