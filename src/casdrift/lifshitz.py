@@ -205,11 +205,10 @@ def g_mode(geom: Geometry, T: float, xi, k):
         raise DomainError(f"k must be finite and > 0, got {k!r}")
     u = 2.0 * geom.d * np.hypot(k_a, xi_a / phys.C_LIGHT)
     _, (q_tm, q_te) = _q_pair(*_pair_fns(geom, T), xi, k, u, 0.0)
-    q_max = max(np.max(q_tm), np.max(q_te))
-    if q_max >= 1.0:
-        raise DomainError(
-            f"r1 r2 exp(-2 d gamma0) = {q_max} >= 1: non-passive amplitudes"
-        )
+    q_max = np.max((np.max(q_tm), np.max(q_te)))  # nan if any element is nan
+    if not q_max < 1.0:
+        why = ">= 1: non-passive amplitudes" if np.isfinite(q_max) else "is not finite"
+        raise DomainError(f"r1 r2 exp(-2 d gamma0) = {q_max} {why}")
     return np.log1p(-q_tm), np.log1p(-q_te)
 
 

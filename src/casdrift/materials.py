@@ -21,7 +21,7 @@ than failing) outside it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,12 +56,16 @@ class SellmeierPermittivity:
 
     eps0 is the static value, eps_inf the high-frequency limit, omega0 the
     resonance frequency [rad/s].  On the imaginary axis the value is real,
-    bounded by [eps_inf, eps0] and monotonically decreasing in xi.
+    bounded by [eps_inf, eps0] and monotonically decreasing in xi.  The
+    xi-independent products omega0^2 and omega0^2 (eps0 - eps_inf) are
+    formed once, at construction.
     """
 
     eps0: float
     eps_inf: float
     omega0: float
+    _w2: float = field(init=False, repr=False, compare=False)
+    _strength: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.eps0 > self.eps_inf >= 1.0):
@@ -70,18 +74,18 @@ class SellmeierPermittivity:
             )
         if not (self.omega0 > 0.0):
             raise DomainError(f"need omega0 > 0, got {self.omega0}")
+        object.__setattr__(self, "_w2", self.omega0**2)
+        object.__setattr__(self, "_strength", self._w2 * (self.eps0 - self.eps_inf))
 
     def at(self, xi):
         """eps(i xi) for a float or a numpy array of frequencies."""
         if type(xi) is _ndarray:
             bad = not ((xi >= 0.0) & (xi < math.inf)).all()
         else:
-            bad = not math.isfinite(xi) or xi < 0.0
+            bad = not (0.0 <= xi < math.inf)
         if bad:
             raise DomainError(f"imaginary frequency must be >= 0, got {xi!r}")
-        return self.eps_inf + self.omega0**2 * (self.eps0 - self.eps_inf) / (
-            xi * xi + self.omega0**2
-        )
+        return self.eps_inf + self._strength / (xi * xi + self._w2)
 
 
 @dataclass(frozen=True)

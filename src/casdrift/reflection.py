@@ -34,6 +34,15 @@ xi-singular expressions; each model has an explicit analytic static branch.
 Each kernel is one body of plain arithmetic that serves floats and numpy
 arrays alike: square roots are written ``x ** 0.5``, which numpy evaluates
 as ``np.sqrt`` and Python floats through libm ``pow``.
+
+:func:`amplitude_fn` builds one closure per (model, spec, T) and forms
+everything that depends only on those when it builds it.  A call at
+xi > 0 evaluates eps(i xi) once and hands it to the model's kernels:
+the Fresnel provider serves ``Conductivity`` and ``Bare``, which is
+``Conductivity`` with sigma0 = 0 (the conduction terms then add exact
+zeros), in its own body; ``Drift`` calls the ``parts`` kernel that
+:func:`_drift_parts` builds for the material state; ``Nonlocal`` calls the
+kernels of :mod:`casdrift.spatial`.
 """
 
 from __future__ import annotations
@@ -109,56 +118,34 @@ ReflectionModel = Union[Bare, Conductivity, Drift, Nonlocal, IdealMetal]
 
 # --- drift-model building blocks --------------------------------------------
 
-def _defects(xi: float, state: MaterialState, eps_bar: float):
-    """(w, X, Y): w = (xi/c)^2, X = eta_T^2 - k^2, Y = eta_L^2 - k^2.
+def _drift_parts(state: MaterialState):
+    """Build ``parts(xi, k, eps_bar) -> (w, X, eta_L, eta_T, chi)`` at xi > 0.
 
-    Computed directly from the material quantities so that downstream
-    differences (eta^2 - k^2) carry no cancellation error.
-    """
-    w = (xi / phys.C_LIGHT) ** 2
-    one_xt = 1.0 + xi * state.tau
-    X = eps_bar * w + _FOURPI * state.sigma0 * xi / (phys.C_LIGHT**2 * one_xt)
-    Y = (
-        _FOURPI * phys.E_CHARGE**2 * state.n0 / (eps_bar * phys.K_B * state.T)
-        + xi * one_xt / state.D
-    )
-    return w, X, Y
-
-
-def _drift_parts(xi, k, state: MaterialState, eps_bar):
-    """(w, X, eta_L, eta_T, chi) at xi > 0.
-
-    Writing X = eta_T^2 - k^2 and Y = eta_L^2 - k^2, the chi bracket is
-    rearranged as
+    The products of the material state are formed once, here.  Inside,
+    w = (xi/c)^2, X = eta_T^2 - k^2 and Y = eta_L^2 - k^2 come directly
+    from the material quantities, so the differences eta^2 - k^2 carry no
+    cancellation error, and the chi bracket is rearranged as
         eta_L eta_T - k^2 = (k^2 (X + Y) + X Y) / (eta_L eta_T + k^2),
     which keeps the sigma0 = 0 identity chi == eta_T exact in floating
     point.
     """
-    k2 = k * k
-    w, X, Y = _defects(xi, state, eps_bar)
-    etaL_v = (k2 + Y) ** 0.5
-    etaT_v = (k2 + X) ** 0.5
-    cross = (k2 * (X + Y) + X * Y) / (etaL_v * etaT_v + k2)  # eta_L eta_T - k^2
-    chi_v = (k2 + eps_bar * w * cross / X) / etaL_v
-    return w, X, etaL_v, etaT_v, chi_v
+    tau, D, T = state.tau, state.D, state.T
+    c, c2, k_b = phys.C_LIGHT, phys.C_LIGHT**2, phys.K_B
+    cond = _FOURPI * state.sigma0                    # 4 pi sigma0
+    screen = _FOURPI * phys.E_CHARGE**2 * state.n0   # 4 pi e^2 n0
 
-
-# --- Fresnel helpers ---------------------------------------------------------
-
-def _fresnel_pair(k, w, eps, X):
-    """(r_tm, r_te) for a local permittivity eps at xi > 0.
-
-    X = eps-induced transverse defect (eta^2 - k^2) is supplied separately
-    so conduction terms enter without cancellation.  The TM numerator uses
-    (eps g0)^2 - eta^2 = (eps - 1)(k^2 (eps + 1) + eps w) + (eps w - X),
-    exact for X = eps w, which keeps r == 0 at eps == 1 exact.
-    """
-    g = (k * k + w) ** 0.5
-    eta = (k * k + X) ** 0.5
-    num_tm = (eps - 1.0) * (k * k * (eps + 1.0) + eps * w) + (eps * w - X)
-    r_tm_v = num_tm / ((eps * g + eta) ** 2)
-    r_te_v = (w - X) / ((g + eta) ** 2)
-    return r_tm_v, r_te_v
+    def parts(xi, k, eps_bar):
+        k2 = k * k
+        w = (xi / c) ** 2
+        one_xt = 1.0 + xi * tau
+        X = eps_bar * w + cond * xi / (c2 * one_xt)
+        Y = screen / (eps_bar * k_b * T) + xi * one_xt / D
+        etaL_v = (k2 + Y) ** 0.5
+        etaT_v = (k2 + X) ** 0.5
+        cross = (k2 * (X + Y) + X * Y) / (etaL_v * etaT_v + k2)  # eta_L eta_T - k^2
+        chi_v = (k2 + eps_bar * w * cross / X) / etaL_v
+        return w, X, etaL_v, etaT_v, chi_v
+    return parts
 
 
 def _drift_static_tm(k, eps0: float, kappa: float):
@@ -177,64 +164,79 @@ def _drift_static_tm(k, eps0: float, kappa: float):
 def amplitude_fn(model: ReflectionModel, spec: MaterialSpec, T: float) -> Callable:
     """Build ``pair(xi, k) -> (r_tm, r_te)`` for one plate at temperature T.
 
-    The returned closure owns the material state (computed once) and the
-    per-model static branches; it is pure and safe to call from concurrent
-    workers.  The cache gives one closure per (model, spec, T): the
-    engine's ``pair2 is pair1`` shortcut calls a pair shared by identical
-    plates once, and the benchmark's ``materials.states_built`` counts
-    closures.  It is the one way the package evaluates an amplitude: the
-    Lifshitz engine's Q = r1 r2 exp(-2 d gamma0) kernel (behind both the
-    Matsubara sum and ``g_mode``), the nonlocal cross-check and the CLI's
-    ``reflect`` all call it.  The static TE amplitude is 0 for every model:
-    the static TE field is purely magnetic and fully penetrates a
-    nonmagnetic medium.
+    Building the closure does every step that depends only on (model,
+    spec, T), once: the material state, the products of it that the
+    kernels use (4 pi sigma0, 4 pi e^2 n0) and the constants of the static
+    branches; the permittivity forms its own constants when the spec is
+    built.  A call does the (xi, k) arithmetic only.  The closure is pure
+    and safe to call from concurrent workers.  The cache gives one closure
+    per (model, spec, T): the engine's ``pair2 is pair1`` shortcut calls a
+    pair shared by identical plates once, and the benchmark's
+    ``materials.states_built`` counts closures.  It is the one way the
+    package evaluates an amplitude: the Lifshitz engine's
+    Q = r1 r2 exp(-2 d gamma0) kernel (behind both the Matsubara sum and
+    ``g_mode``), the nonlocal cross-check and the CLI's ``reflect`` all
+    call it.  The static TE amplitude is 0 for every model: the static TE
+    field is purely magnetic and fully penetrates a nonmagnetic medium.
+    Every provider refuses a non-finite or negative frequency with
+    DomainError, through the permittivity's check.
 
     ``xi`` and ``k`` may be floats or numpy arrays that broadcast together;
     the static branch is taken for a float ``xi == 0``, so an array ``xi``
     must hold positive frequencies only.  Amplitudes that do not depend on
     k (the static TE zero, the ideal metal) come back as floats.
     """
+    perm = spec.permittivity
+    at, eps0 = perm.at, perm.eps0
+
     if isinstance(model, IdealMetal):
         def pair_ideal(xi, k):
             if type(xi) is not _ndarray and xi == 0.0:
                 return 1.0, 0.0
+            at(xi)  # the frequency check every provider makes
             return 1.0, -1.0
         return pair_ideal
 
-    perm = spec.permittivity
-    eps0 = perm.eps0
+    if isinstance(model, (Bare, Conductivity)):
+        # Bare is Conductivity(0): its conduction terms add exact zeros.
+        sigma0 = model.sigma0 if isinstance(model, Conductivity) else 0.0
+        cond = _FOURPI * sigma0
+        c, c2 = phys.C_LIGHT, phys.C_LIGHT**2
+        # 4 pi sigma0 / xi diverges at xi = 0: a perfect TM reflector.
+        r_static = 1.0 if sigma0 > 0.0 else (eps0 - 1.0) / (eps0 + 1.0)
 
-    if isinstance(model, Bare):
-        def pair_bare(xi, k):
+        def pair_fresnel(xi, k):
             if type(xi) is not _ndarray and xi == 0.0:
-                return (eps0 - 1.0) / (eps0 + 1.0), 0.0
-            eps = perm.at(xi)
-            w = (xi / phys.C_LIGHT) ** 2
-            return _fresnel_pair(k, w, eps, eps * w)
-        return pair_bare
+                return r_static, 0.0
+            eps_bare = at(xi)
+            eps = eps_bare + cond / xi
+            w = (xi / c) ** 2
+            # X = eta^2 - k^2 is formed from the permittivity so that the
+            # conduction term enters without cancellation, and the TM
+            # numerator uses (eps g0)^2 - eta^2
+            #   = (eps - 1)(k^2 (eps + 1) + eps w) + (eps w - X),
+            # exact for X = eps w, which keeps r == 0 at eps == 1 exact.
+            X = eps_bare * w + cond * xi / c2
+            k2 = k * k
+            g = (k2 + w) ** 0.5
+            eta = (k2 + X) ** 0.5
+            num_tm = (eps - 1.0) * (k2 * (eps + 1.0) + eps * w) + (eps * w - X)
+            return num_tm / ((eps * g + eta) ** 2), (w - X) / ((g + eta) ** 2)
+        return pair_fresnel
 
-    if isinstance(model, Conductivity):
-        sigma0 = model.sigma0
-
-        def pair_cond(xi, k):
-            if type(xi) is not _ndarray and xi == 0.0:
-                # 4 pi sigma0 / xi diverges: perfect TM reflector.
-                return (1.0 if sigma0 > 0.0 else (eps0 - 1.0) / (eps0 + 1.0)), 0.0
-            eps_bare = perm.at(xi)
-            eps = eps_bare + _FOURPI * sigma0 / xi
-            w = (xi / phys.C_LIGHT) ** 2
-            X = eps_bare * w + _FOURPI * sigma0 * xi / phys.C_LIGHT**2
-            return _fresnel_pair(k, w, eps, X)
-        return pair_cond
+    if not isinstance(model, (Drift, Nonlocal)):
+        raise DomainError(f"unknown reflection model {model!r}")
+    state = material_state(spec, T)
+    kappa = state.kappa
 
     if isinstance(model, Drift):
-        state = material_state(spec, T)
+        parts = _drift_parts(state)
 
         def pair_drift(xi, k):
             if type(xi) is not _ndarray and xi == 0.0:
-                return _drift_static_tm(k, eps0, state.kappa), 0.0
-            eps = perm.at(xi)
-            w, X, _, etaT_v, chi_v = _drift_parts(xi, k, state, eps)
+                return _drift_static_tm(k, eps0, kappa), 0.0
+            eps = at(xi)
+            w, X, _, etaT_v, chi_v = parts(xi, k, eps)
             g = (k * k + w) ** 0.5
             r_tm_v = (eps * g - chi_v) / (eps * g + chi_v)
             # TE via the defect form: w - X has no cancellation, unlike
@@ -243,15 +245,16 @@ def amplitude_fn(model: ReflectionModel, spec: MaterialSpec, T: float) -> Callab
             return r_tm_v, r_te_v
         return pair_drift
 
-    if isinstance(model, Nonlocal):
-        from .spatial import nonlocal_amplitudes  # deferred: spatial imports this module
+    # deferred: spatial imports this module
+    from .spatial import eps_perp_drift, h_a, h_tildes, r_from_H_tilde
 
-        state = material_state(spec, T)
+    h_a_at = h_a(state)
 
-        def pair_nonlocal(xi, k):
-            if type(xi) is not _ndarray and xi == 0.0:
-                return _drift_static_tm(k, eps0, state.kappa), 0.0
-            return nonlocal_amplitudes(xi, k, state, perm)
-        return pair_nonlocal
-
-    raise DomainError(f"unknown reflection model {model!r}")
+    def pair_nonlocal(xi, k):
+        if type(xi) is not _ndarray and xi == 0.0:
+            return _drift_static_tm(k, eps0, kappa), 0.0
+        eps = at(xi)
+        Ht_tm, _, ht_b, _, _ = h_tildes(
+            eps_perp_drift(xi, state, eps), h_a_at(k, xi, eps), xi, k)
+        return r_from_H_tilde(Ht_tm), r_from_H_tilde(ht_b)
+    return pair_nonlocal

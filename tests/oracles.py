@@ -43,8 +43,8 @@ from casdrift.errors import CasdriftError, DomainError, EvaluationError
 from casdrift.lifshitz import (
     Geometry, Tolerances, _with_model, free_energy_per_area, g_mode)
 from casdrift.materials import MaterialSpec, MaterialState, bare_eps, material_state
-from casdrift.reflection import Bare, ReflectionModel, _defects, _drift_parts
-from casdrift.spatial import _assemble_H_tm_tilde, _h_tildes, eps_perp_drift, h_a
+from casdrift.reflection import Bare, ReflectionModel, _drift_parts
+from casdrift.spatial import eps_perp_drift, h_a, h_tildes
 
 
 class OracleError(CasdriftError):
@@ -132,14 +132,15 @@ def drift_quantities(mode: Mode, state: MaterialState, eps_bar: float) -> DriftQ
     """eta_L, eta_T and chi from the library's cancellation-free arrangement.
 
     ``casdrift.reflection._drift_parts`` at xi > 0; at xi = 0 the analytic
-    static values (eta_T = k, chi = k^2/eta_L) are returned directly.
+    static values (eta_L^2 = k^2 + 4 pi e^2 n0/(eps kB T), eta_T = k,
+    chi = k^2/eta_L) are returned directly.
     """
     k = mode.k
     if mode.xi == 0.0:
-        _, _, Y = _defects(0.0, state, eps_bar)
+        Y = 4.0 * math.pi * phys.E_CHARGE**2 * state.n0 / (eps_bar * phys.K_B * state.T)
         etaL_v = math.sqrt(k * k + Y)
         return DriftQuantities(eta_L=etaL_v, eta_T=k, chi=k * k / etaL_v)
-    _, _, etaL_v, etaT_v, chi_v = _drift_parts(mode.xi, k, state, eps_bar)
+    _, _, etaL_v, etaT_v, chi_v = _drift_parts(state)(mode.xi, k, eps_bar)
     return DriftQuantities(eta_L=etaL_v, eta_T=etaT_v, chi=chi_v)
 
 
@@ -238,13 +239,12 @@ def r_oracle_bc(mode: Mode, etaL, etaT, eps_bar, full: bool = False):
 # --- the surface integrals in closed form, as a record ---------------------------
 
 @dataclass(frozen=True)
-class HFunctions:
-    """The three surface integrals and the assembled H-functions at one mode.
+class HIntegrals:
+    """The three surface integrals at one mode.
 
-    The tilded fields hold ``h - h|_{eps==1}`` (and ``H - 1``) evaluated in
-    compensated form; near-unity media make the plain differences lose all
-    relative precision, while e.g. the TE amplitude is exactly
-    ``H_te_tilde / (2 + H_te_tilde)``.
+    The tilded fields hold ``h - h|_{eps==1}`` evaluated in compensated
+    form; near-unity media make the plain differences lose all relative
+    precision.
     """
 
     h_a: float
@@ -253,6 +253,16 @@ class HFunctions:
     h_tilde_a: float
     h_tilde_b: float
     h_tilde_c: float
+
+
+@dataclass(frozen=True)
+class HFunctions(HIntegrals):
+    """The three surface integrals and the assembled H-functions at one mode.
+
+    ``H_tm_tilde`` and ``H_te_tilde`` hold ``H - 1`` in compensated form,
+    so e.g. the TE amplitude is exactly ``H_te_tilde / (2 + H_te_tilde)``.
+    """
+
     H_tm: float
     H_te: float
     H_tm_tilde: float
@@ -270,9 +280,8 @@ def h_integrals(tensor, mode: Mode) -> HFunctions:
     if mode.xi <= 0.0:
         raise DomainError("h-integrals are defined for xi > 0")
     k, xi = mode.k, mode.xi
-    ht_a, ht_b, ht_c, g, w = _h_tildes(
+    Ht_tm, ht_a, ht_b, ht_c, g = h_tildes(
         tensor.eps_perp(k, xi), tensor.h_a(k, xi), xi, k)
-    Ht_tm = _assemble_H_tm_tilde(ht_a, ht_b, ht_c, k, g, w, xi)
     h_b = 1.0 + ht_b
     return HFunctions(
         h_a=1.0 + ht_a, h_b=h_b, h_c=1.0 + ht_c,
@@ -324,7 +333,7 @@ class FullDriftTensor:
         return eps_par_drift(q, xi, self.state, bare_eps(self.spec, xi))
 
     def h_a(self, k: float, xi: float) -> float:
-        return h_a(k, xi, self.state, bare_eps(self.spec, xi))
+        return h_a(self.state)(k, xi, bare_eps(self.spec, xi))
 
 
 def full_drift_tensor(spec: MaterialSpec, T: float) -> FullDriftTensor:
@@ -382,13 +391,14 @@ def _quad_semi_infinite(f: Callable[[float], float], scale: float) -> tuple:
     return val, err
 
 
-def h_integrals_quadrature(tensor, mode: Mode) -> HFunctions:
+def h_integrals_quadrature(tensor, mode: Mode) -> HIntegrals:
     """h_a, h_b, h_c by adaptive q_z quadrature of the tensor components.
 
     ``tensor`` supplies ``eps_perp(q, xi)`` and ``eps_par(q, xi)`` at the
     wavevector magnitude q = sqrt(k^2 + q_z^2).  The eps == 1 evaluation is
     subtracted inside each integrand, so the tilded values come out at full
-    precision.
+    precision.  The integrals are the independent route; H is assembled
+    from them only in the library's closed form (:func:`h_integrals`).
     """
     k, xi = mode.k, mode.xi
     ratio = xi / (phys.C_LIGHT * k)
@@ -443,14 +453,9 @@ def h_integrals_quadrature(tensor, mode: Mode) -> HFunctions:
             )
         tildes.append(pref * val)
     ht_a, ht_b, ht_c = tildes
-    h_b = 1.0 + ht_b
-    Ht_tm = _assemble_H_tm_tilde(ht_a, ht_b, ht_c, k, g, w, xi)
-    return HFunctions(
-        h_a=1.0 + ht_a, h_b=h_b, h_c=1.0 + ht_c,
+    return HIntegrals(
+        h_a=1.0 + ht_a, h_b=1.0 + ht_b, h_c=1.0 + ht_c,
         h_tilde_a=ht_a, h_tilde_b=ht_b, h_tilde_c=ht_c,
-        H_tm=1.0 + Ht_tm, H_te=h_b,
-        H_tm_tilde=Ht_tm, H_te_tilde=ht_b,
-        gamma0=g,
     )
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from casdrift import phys
 from casdrift.errors import DomainError, EvaluationError
-from casdrift.materials import GE, SI, bare_eps, material_state
+from casdrift.materials import GE, SI, SellmeierPermittivity, bare_eps, material_state
 from casdrift.reflection import (
     Bare,
     Conductivity,
@@ -16,7 +17,6 @@ from casdrift.reflection import (
     IdealMetal,
     Nonlocal,
     amplitude_fn,
-    _fresnel_pair,
 )
 
 from conftest import assert_close, logspace, neville_to_zero
@@ -228,9 +228,12 @@ class TestIdealDielectricReduction:
                         assert bits(got_b[c]) == bits(got_c[c]), (spec.name, T, c)
 
     def test_no_interface_gives_zero(self):
-        # eps == 1: both Fresnel amplitudes vanish identically
-        w = (XI1 / phys.C_LIGHT) ** 2
-        r_tm_v, r_te_v = _fresnel_pair(1e4, w, 1.0, 1.0 * w)
+        # eps == 1: both Fresnel amplitudes vanish identically; the
+        # resonance sits so far below xi_1 that eps(i xi_1) rounds to 1
+        vacuum = replace(GE, permittivity=SellmeierPermittivity(
+            eps0=1.0 + 2.0**-52, eps_inf=1.0, omega0=1e12))
+        assert bare_eps(vacuum, XI1) == 1.0
+        r_tm_v, r_te_v = amplitude_fn(Bare(), vacuum, 300.0)(XI1, 1e4)
         assert r_tm_v == 0.0 and r_te_v == 0.0
 
 
@@ -321,8 +324,7 @@ class TestBoundaryConditionOracle:
         m = Mode(xi=XI1, k=5e3)
         dq = drift_quantities(m, st_, eps)
         rtm_o, rte_o = r_oracle_bc(m, dq.eta_L, dq.eta_T, eps)
-        w = (XI1 / phys.C_LIGHT) ** 2
-        rtm_f, rte_f = _fresnel_pair(5e3, w, eps, eps * w)
+        rtm_f, rte_f = amplitude_fn(Bare(), spec, 300.0)(XI1, 5e3)
         assert_close(rtm_o, rtm_f, 1e-10)
         assert_close(rte_o, rte_f, 1e-10)
 
@@ -349,18 +351,32 @@ class TestArrayEvaluation:
         xis = np.array([0.1, 1.0, 30.0])[:, None] * XI1
         for model in ALL_MODELS + [IdealMetal()]:
             for spec in (GE, SI):
-                pair = amplitude_fn(model, spec, 300.0)
-                cases = [(xi, ks) for xi in (0.0, 0.1 * XI1, XI1, 30.0 * XI1)]
-                cases.append((xis, np.broadcast_to(ks, (3, ks.size))))
-                for xi, k in cases:
-                    got = pair(xi, k)
-                    xi_b = np.broadcast_to(xi, k.shape)
-                    for c in (0, 1):
-                        arr = np.broadcast_to(got[c], k.shape)
-                        for x, kk, v in zip(xi_b.flat, k.flat, arr.flat):
-                            want = pair(float(x), float(kk))[c]
-                            assert abs(v - want) <= 1e-15 * abs(want), (
-                                model, spec.name, c, x, kk, v, want)
+                for T in (300.0, 77.0, 1.0):
+                    pair = amplitude_fn(model, spec, T)
+                    cases = [(xi, ks) for xi in (0.0, 0.1 * XI1, XI1, 30.0 * XI1)]
+                    cases.append((xis, np.broadcast_to(ks, (3, ks.size))))
+                    for xi, k in cases:
+                        got = pair(xi, k)
+                        xi_b = np.broadcast_to(xi, k.shape)
+                        for c in (0, 1):
+                            arr = np.broadcast_to(got[c], k.shape)
+                            for x, kk, v in zip(xi_b.flat, k.flat, arr.flat):
+                                want = pair(float(x), float(kk))[c]
+                                assert abs(v - want) <= 1e-15 * abs(want), (
+                                    model, spec.name, T, c, x, kk, v, want)
+
+    @pytest.mark.parametrize("model", ALL_MODELS + [IdealMetal()],
+                             ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("xi", [math.nan, math.inf, -1.0,
+                                    np.array([1e13, math.nan]),
+                                    np.array([1e13, math.inf]),
+                                    np.array([1e13, -1.0])],
+                             ids=["nan", "inf", "-1",
+                                  "array-nan", "array-inf", "array-neg"])
+    def test_every_provider_refuses_bad_frequencies(self, model, xi):
+        pair = amplitude_fn(model, GE, 300.0)
+        with pytest.raises(DomainError, match="imaginary frequency"):
+            pair(xi, 1e4)
 
 
 def test_dispatch_rejects_unknown_model():
