@@ -45,3 +45,28 @@ def test_runs_without_test_extras():
     assert "E_erg_cm2" in proc.stdout
     assert "T_K,polarization,xi_rad_s,k_cm,g" in proc.stdout
     assert "d_um,E_bare,E_drift,E_cond,ratio_drift,ratio_cond" in proc.stdout
+
+
+# what ``import casdrift.cli`` adds to an interpreter that has numpy loaded
+_IMPORT_PROBE = r"""
+import sys
+import numpy
+before = set(sys.modules)
+import casdrift.cli
+print("\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_loads_no_further_numpy_or_concurrency_module():
+    # every CLI run pays for this import: numpy.random or numpy.ma alone
+    # costs about 11 ms, and the library has no use for worker pools or an
+    # event loop
+    src = str(Path(casdrift.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "casdrift.cli" in loaded
+    assert [m for m in loaded if m.split(".")[0] in
+            {"numpy", "concurrent", "multiprocessing", "asyncio"}] == []

@@ -21,6 +21,7 @@ from casdrift.lifshitz import (
 from casdrift.materials import GE, SI, SellmeierPermittivity, material_state
 from casdrift.reflection import (
     Bare, Conductivity, Drift, IdealMetal, Nonlocal, amplitude_fn)
+from casdrift.thermo import ENTROPY_TOL
 
 from conftest import assert_close
 from oracles import (
@@ -295,6 +296,20 @@ class TestSumStats:
         assert st.nodes % 21 == 0 and st.nodes >= 21 * st.panels
         assert st.panels >= st.terms_computed and st.passes >= 2
 
+    # An entropy-tolerance sum takes at most three G-K passes: n = 0 shares
+    # the first block and every term starts on panels fitted to its scale.
+    # With n = 0 in a block of its own and the same three starting panels
+    # for every n >= 1, these sums took 5, 6 and 8 passes, with the nodes
+    # per kept term and the overshoot past the stop given here.
+    @pytest.mark.parametrize("T, nodes_per_term, overshoot",
+                             [(315.0, 95.0, 4), (42.0, 78.5, 2), (10.5, 78.3, 7)])
+    def test_entropy_sums_take_few_passes(self, T, nodes_per_term, overshoot):
+        st = free_energy_per_area(Geometry.identical(D_1UM, GE, Drift()), T,
+                                  tolerances=ENTROPY_TOL).stats
+        assert st.passes <= 3
+        assert st.nodes / st.terms_kept < nodes_per_term
+        assert st.terms_computed - st.terms_kept <= overshoot + 8
+
 
 class TestEngineGuards:
     def test_panel_limit_leaves_a_note(self, monkeypatch):
@@ -304,6 +319,39 @@ class TestEngineGuards:
         assert any(w.startswith("quadrature note at xi=0.0000e+00 (TM): panel limit")
                    for w in res.warnings)
         assert_close(res.value, GE_E_1UM_300K, 1e-9)
+
+    @pytest.mark.parametrize("T", [315.0, 10.5])
+    def test_shortened_window_moves_no_sum(self, monkeypatch, T):
+        # terms n >= 1 end at t = _T_END = 45; ending them at 60, like the
+        # static term, leaves every sum where it is
+        geoms = [Geometry.identical(D_1UM, spec, model) for spec in (GE, SI)
+                 for model in (Bare(), Conductivity(2.09e10), Drift(), IdealMetal())]
+
+        def sums():
+            return [op(g, T, tolerances=ENTROPY_TOL).value
+                    for g in geoms for op in (free_energy_per_area, pressure)]
+
+        short = sums()
+        monkeypatch.setattr(lifshitz, "_T_END", 60.0)
+        for a, b in zip(short, sums()):
+            assert abs(a - b) < 1e-13 * abs(b)
+
+    @pytest.mark.parametrize("u_n", [1e-3, 1.0, 30.0])
+    @pytest.mark.parametrize("kind", ["energy", "pressure"])
+    def test_integrand_past_the_window_is_negligible(self, kind, u_n):
+        # the integral over t in [45, 60] (fifteen K21 panels) against the
+        # whole term, for a screened and a perfect reflector
+        xi = np.array([u_n * phys.C_LIGHT / (2.0 * D_1UM)])
+        a = np.arange(45.0, 60.0)
+        half = np.full(len(a), 0.5)
+        t = half[:, None] * lifshitz._NODES + (a + 0.5)[:, None]
+        for spec, model in ((GE, Drift()), (GE, IdealMetal())):
+            pair = amplitude_fn(model, spec, 10.5)
+            term = lifshitz._block_integrals(kind, D_1UM, xi, pair, pair, 1e-10)[0][:, 0]
+            f = np.empty((2,) + t.shape)
+            lifshitz._integrand(kind, D_1UM, xi[0], u_n, t, pair, pair, f)
+            tail = (f @ lifshitz._W_KRONROD) @ half
+            assert (np.abs(tail) < 1e-16 * np.abs(term)).all(), (model, tail / term)
 
     def test_cap_refusal_carries_the_partial_sum(self, monkeypatch):
         # 19 terms pass the upfront check at 1 um and 300 K but stop short
