@@ -15,7 +15,12 @@ library result by an independent route:
   compensated ``r_from_H_tilde`` is held;
 * :func:`term_integrals_quad` -- one Matsubara term's u-integrals by
   scalar adaptive quadrature, one polarization at a time, against which
-  the blocked Gauss-Kronrod engine of :mod:`casdrift.lifshitz` is held.
+  the blocked Gauss-Kronrod engine of :mod:`casdrift.lifshitz` is held;
+* :func:`complete_matsubara_sum` -- every Matsubara term out to
+  2 d xi_n / c = 52 summed directly, against which the engine's stop
+  rules and its xi-integral tail are held;
+* :func:`ideal_metal_energy`, :func:`ideal_metal_pressure` -- the
+  low-temperature closed forms for two ideal metals.
 
 The rest are verification helpers that only the tests call: the (xi, k)
 evaluation point :class:`Mode` the record-style helpers take, the drift
@@ -36,14 +41,15 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import mpmath as mp
+import numpy as np
 from scipy.integrate import quad
 
-from casdrift import phys
+from casdrift import lifshitz, phys
 from casdrift.errors import CasdriftError, DomainError, EvaluationError
 from casdrift.lifshitz import (
     Geometry, Tolerances, _with_model, free_energy_per_area, g_mode)
 from casdrift.materials import MaterialSpec, MaterialState, bare_eps, material_state
-from casdrift.reflection import Bare, ReflectionModel, _drift_parts
+from casdrift.reflection import Bare, ReflectionModel, _drift_parts, amplitude_fn
 from casdrift.spatial import eps_perp_drift, h_a, h_tildes
 
 
@@ -490,7 +496,33 @@ def term_integrals_quad(kind: str, d: float, xi: float, pair1, pair2,
     )
 
 
-# --- ideal-metal n = 0 TM terms and the n = 0 swaps -------------------------------
+def complete_matsubara_sum(kind: str, geom: Geometry, T: float,
+                           s_end: float = 52.0, quad_rel: float = 1e-12) -> float:
+    """The Matsubara sum over every term with 2 d xi_n / c <= s_end.
+
+    Each term is integrated by the engine's ``_block_integrals`` at
+    ``quad_rel``, in blocks of 256 terms, and the terms (n = 0 half-weighted)
+    are added by ``math.fsum``: no stop rule, no tail and no truncation
+    estimate.  Past s = 52 the summand has fallen by exp(-52) ~ 3e-23.
+    """
+    d = geom.d
+    p1 = amplitude_fn(geom.plate1.model, geom.plate1.material, T)
+    p2 = amplitude_fn(geom.plate2.model, geom.plate2.material, T)
+    coef = phys.K_B * T / (8.0 * math.pi * d * d)
+    if kind == "pressure":
+        coef /= d
+    n_last = int(s_end * phys.C_LIGHT / (2.0 * d * phys.matsubara_xi(1, T)))
+    parts = []
+    for start in range(0, n_last + 1, 256):
+        ns = np.arange(start, min(start + 256, n_last + 1), dtype=float)
+        xis = 2.0 * math.pi * ns * phys.K_B * T / phys.HBAR
+        I = lifshitz._block_integrals(kind, d, xis, p1, p2, quad_rel)[0]
+        w = np.where(ns == 0.0, 0.5, 1.0) * coef
+        parts.extend((w * I[0]).tolist() + (w * I[1]).tolist())
+    return math.fsum(parts)
+
+
+# --- ideal metals and the n = 0 swaps ----------------------------------------------
 
 ZETA3 = 1.2020569031595943
 
@@ -503,6 +535,30 @@ def ideal_metal_n0_tm_energy(d: float, T: float) -> float:
 def ideal_metal_n0_tm_pressure(d: float, T: float) -> float:
     """Analytic n = 0 TM pressure term for ideal metals: kB T zeta(3)/(8 pi d^3)."""
     return phys.K_B * T * ZETA3 / (8.0 * math.pi * d**3)
+
+
+def ideal_metal_energy(d: float, T: float) -> float:
+    """Low-temperature free energy of two ideal metals with r_TE = 0 at xi = 0.
+
+    E = -pi^2 hbar c/(720 d^3) [1 + 45 zeta(3) t^3/pi^3 - t^4]
+    + kB T zeta(3)/(16 pi d^2), t = 2 kB T d/(hbar c) (Brown and Maclay,
+    Phys. Rev. 184, 1272 (1969), with the n = 0 TE term removed), up to
+    terms exponentially small in 1/t.
+    """
+    hc = phys.HBAR * phys.C_LIGHT
+    t = 2.0 * phys.K_B * T * d / hc
+    bracket = 1.0 + 45.0 * ZETA3 * t**3 / math.pi**3 - t**4
+    return (-math.pi**2 * hc / (720.0 * d**3) * bracket
+            + phys.K_B * T * ZETA3 / (16.0 * math.pi * d * d))
+
+
+def ideal_metal_pressure(d: float, T: float) -> float:
+    """dE/dd of :func:`ideal_metal_energy`: attraction is positive."""
+    hc = phys.HBAR * phys.C_LIGHT
+    kT = phys.K_B * T
+    return (3.0 * math.pi**2 * hc / (720.0 * d**4)
+            + math.pi**2 * kT**4 / (45.0 * hc**3)
+            - kT * ZETA3 / (8.0 * math.pi * d**3))
 
 
 def _n0_term(res) -> float:

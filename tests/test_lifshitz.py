@@ -26,8 +26,11 @@ from casdrift.thermo import ENTROPY_TOL
 from conftest import assert_close
 from oracles import (
     ZETA3,
+    complete_matsubara_sum,
+    ideal_metal_energy,
     ideal_metal_n0_tm_energy,
     ideal_metal_n0_tm_pressure,
+    ideal_metal_pressure,
     n0_swapped_energy,
     pc_n0_ratio_asymptote,
     term_integrals_quad,
@@ -295,20 +298,120 @@ class TestSumStats:
         assert st.terms_computed >= st.terms_kept
         assert st.nodes % 21 == 0 and st.nodes >= 21 * st.panels
         assert st.panels >= st.terms_computed and st.passes >= 2
+        assert st.tail_rows == 0 and a.remainder == 0.0
 
     # An entropy-tolerance sum takes at most three G-K passes: n = 0 shares
     # the first block and every term starts on panels fitted to its scale.
     # With n = 0 in a block of its own and the same three starting panels
-    # for every n >= 1, these sums took 5, 6 and 8 passes, with the nodes
+    # for every n >= 1, these sums took 5 and 6 passes, with the nodes
     # per kept term and the overshoot past the stop given here.
     @pytest.mark.parametrize("T, nodes_per_term, overshoot",
-                             [(315.0, 95.0, 4), (42.0, 78.5, 2), (10.5, 78.3, 7)])
+                             [(315.0, 95.0, 4), (42.0, 78.5, 2)])
     def test_entropy_sums_take_few_passes(self, T, nodes_per_term, overshoot):
         st = free_energy_per_area(Geometry.identical(D_1UM, GE, Drift()), T,
                                   tolerances=ENTROPY_TOL).stats
         assert st.passes <= 3
         assert st.nodes / st.terms_kept < nodes_per_term
         assert st.terms_computed - st.terms_kept <= overshoot + 8
+        assert st.tail_rows == 0
+
+    # A long sum ends in the xi-integral tail.  Summed term by term, these
+    # took 33,327 nodes (10.5 K, 3 passes) and 2,860,620 (0.1 K, 172 passes).
+    @pytest.mark.parametrize("T, nodes", [(10.5, 20_000), (0.1, 150_000)])
+    def test_long_entropy_sums_take_few_nodes(self, T, nodes):
+        res = free_energy_per_area(Geometry.identical(D_1UM, GE, Drift()), T,
+                                   tolerances=ENTROPY_TOL)
+        assert res.stats.tail_rows > 0 and res.remainder != 0.0
+        assert res.stats.nodes < nodes
+
+
+class TestMatsubaraTail:
+    """Long sums: a head summed directly, the rest as an xi-integral."""
+
+    @pytest.mark.parametrize("T", [1.0, 3.0, 10.0])
+    @pytest.mark.parametrize("d", [0.1e-4, D_1UM])
+    def test_ideal_metal_closed_form(self, d, T):
+        # a sum stopped where its terms fall below sum_rel misses its tail:
+        # 1.6e-11, 6.0e-11 and 1.9e-10 of the energy at 1 um and 10, 3, 1 K
+        geom = Geometry.identical(d, GE, IdealMetal())
+        for op, exact in ((free_energy_per_area, ideal_metal_energy),
+                          (pressure, ideal_metal_pressure)):
+            res = op(geom, T, tolerances=ENTROPY_TOL)
+            diff = abs(res.value - exact(d, T))
+            what = (op.__name__, res.value / exact(d, T) - 1)
+            assert diff <= 2.0 * ENTROPY_TOL.sum_rel * abs(res.value), what
+            assert diff <= (ENTROPY_TOL.sum_rel * abs(res.value) + res.truncation_error_estimate
+                            + res.quadrature_error_estimate), what
+
+    @pytest.mark.parametrize("T", [18.0, 10.0, 3.0])
+    @pytest.mark.parametrize("name, spec, model", [
+        ("Ge/Drift", GE, Drift()),
+        ("Ge/Conductivity", GE, Conductivity(2.09e10)),
+        ("Si/Nonlocal", SI, Nonlocal())])
+    def test_against_the_complete_sum(self, name, spec, model, T):
+        geom = Geometry.identical(D_1UM, spec, model)
+        for kind, op in (("energy", free_energy_per_area), ("pressure", pressure)):
+            complete = complete_matsubara_sum(kind, geom, T)
+            for tol in (Tolerances(), ENTROPY_TOL):
+                res = op(geom, T, tolerances=tol)
+                what = (name, kind, T, tol.sum_rel)
+                diff = abs(res.value - complete)
+                assert diff <= 2.0 * tol.sum_rel * abs(res.value), what
+                assert diff <= (res.truncation_error_estimate + res.quadrature_error_estimate
+                                + 1e-3 * tol.sum_rel * abs(res.value)), what
+                head = 0.0
+                for _, te, tm in res.per_n_terms:
+                    head += te + tm
+                assert res.value == head + res.remainder, what
+
+    def test_tail_bookkeeping(self):
+        res = free_energy_per_area(Geometry.identical(D_1UM, GE, Drift()), 10.0,
+                                   tolerances=ENTROPY_TOL)
+        st = res.stats
+        assert st.tail_rows % 21 == 0 and st.tail_rows > 0
+        assert st.terms_kept == len(res.per_n_terms) == res.n_truncated_at + 1
+        assert st.terms_computed >= st.terms_kept + 9  # f_M..f_{M+9}
+        assert res.per_n_terms[-1][0] == res.n_truncated_at >= 7
+        assert 0.0 < res.truncation_error_estimate < ENTROPY_TOL.sum_rel * abs(res.value)
+        again = free_energy_per_area(Geometry.identical(D_1UM, GE, Drift()), 10.0,
+                                     tolerances=ENTROPY_TOL)
+        assert again == res
+
+    def test_tail_rows_leave_notes(self, monkeypatch):
+        # inner terms at their panel limit: some at tail nodes, which lie
+        # between the Matsubara frequencies
+        monkeypatch.setattr(lifshitz, "_PANEL_LIMIT", 4)
+        res = free_energy_per_area(Geometry.identical(D_1UM, GE, Drift()), 1.0,
+                                   tolerances=ENTROPY_TOL)
+        assert res.stats.tail_rows > 0
+        ns = [float(w.split("xi=")[1].split()[0]) / phys.matsubara_xi(1, 1.0)
+              for w in res.warnings if w.startswith("quadrature note at xi=")]
+        assert any(abs(n - round(n)) > 1e-3 for n in ns)
+
+    def test_outer_panel_limit_leaves_a_note(self, monkeypatch):
+        # outer panels over [s_M, s_M + 45] too wide to converge, that may
+        # not split
+        monkeypatch.setattr(lifshitz, "_TAIL_EDGES", np.array([0.0, 45.0]))
+        monkeypatch.setattr(lifshitz, "_TAIL_PANEL_LIMIT", 1)
+        res = free_energy_per_area(Geometry.identical(D_1UM, GE, Drift()), 10.0,
+                                   tolerances=ENTROPY_TOL)
+        assert res.stats.tail_rows < lifshitz._TAIL_ROWS
+        assert any(w.startswith("quadrature note in the Matsubara tail from s=")
+                   and "outer panel limit (1)" in w for w in res.warnings)
+
+    def test_non_finite_tail_integral_is_refused(self, monkeypatch):
+        # nan past s = 2 d xi / c = 3: the head stops short of it at 10 K
+        # and the tail's outer nodes reach it
+        def late_nan(model, spec, T):
+            def pair(xi, k):
+                s = 2.0 * D_1UM * xi / phys.C_LIGHT
+                return np.where(s < 3.0, 0.5, np.nan) + 0.0 * k, 0.0 * k
+            return pair
+        monkeypatch.setattr(lifshitz, "amplitude_fn", late_nan)
+        with pytest.raises(SummationError, match="non-finite energy integral") as info:
+            free_energy_per_area(Geometry.identical(D_1UM, GE, Drift()), 10.0,
+                                 tolerances=ENTROPY_TOL)
+        assert info.value.diagnostics["xi"] > phys.matsubara_xi(64, 10.0)
 
 
 class TestEngineGuards:
