@@ -16,12 +16,13 @@ class ModelValidityError(CasdriftError):
 class EvaluationError(CasdriftError):
     """A formula could not be evaluated at the given mode coordinates.
 
-    Carries the offending (k, xi) pair when available.
+    Carries the offending k and xi when available.
     """
 
     def __init__(self, message, k=None, xi=None):
-        if k is not None or xi is not None:
-            message = f"{message} [k={k!r} 1/cm, xi={xi!r} rad/s]"
+        where = [f"k={k!r} 1/cm"] * (k is not None) + [f"xi={xi!r} rad/s"] * (xi is not None)
+        if where:
+            message = f"{message} [{', '.join(where)}]"
         super().__init__(message)
         self.k = k
         self.xi = xi

@@ -31,18 +31,24 @@ the TE amplitude is the ordinary Fresnel form ``(g0 - eta_T)/(g0 + eta_T)``.
 Static (xi = 0) values are never obtained by substituting xi = 0 into the
 xi-singular expressions; each model has an explicit analytic static branch.
 
-Each kernel is one body of plain arithmetic that serves floats and numpy
-arrays alike: square roots are written ``x ** 0.5``, which numpy evaluates
-as ``np.sqrt`` and Python floats through libm ``pow``.
+Each kernel is split into two stages of plain arithmetic that serve
+floats and numpy arrays alike: square roots are written ``x ** 0.5``,
+which numpy evaluates as ``np.sqrt`` and Python floats through libm
+``pow``.  The frequency stage evaluates eps(i xi) once and forms every
+product of xi alone into one tuple; the wavevector stage finishes the
+pair from that tuple and k.
 
 :func:`amplitude_fn` builds one closure per (model, spec, T) and forms
-everything that depends only on those when it builds it.  A call at
-xi > 0 evaluates eps(i xi) once and hands it to the model's kernels:
-the Fresnel provider serves ``Conductivity`` and ``Bare``, which is
-``Conductivity`` with sigma0 = 0 (the conduction terms then add exact
-zeros), in its own body; ``Drift`` calls the ``parts`` kernel that
-:func:`_drift_parts` builds for the material state; ``Nonlocal`` calls the
-kernels of :mod:`casdrift.spatial`.
+everything that depends only on those when it builds it.  The Fresnel
+stages serve ``Conductivity`` and ``Bare``, which is ``Conductivity``
+with sigma0 = 0 (the conduction terms then add exact zeros);
+``Drift`` uses the stages that :func:`_drift_stages` builds for the
+material state, and ``Nonlocal`` those of
+:func:`casdrift.spatial.nonlocal_stages`.  The closure keeps the
+frequency stage of the last float xi it saw, so a scalar sweep over k at
+fixed xi pays for the frequency stage once; the memo is one immutable
+tuple, safe under concurrent callers, and leaves every amplitude's bits
+as they are in any call order.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import phys
-from .errors import DomainError
+from .errors import DomainError, EvaluationError
 from .materials import MaterialSpec, MaterialState, material_state
 
 __all__ = [
@@ -116,36 +122,78 @@ class IdealMetal:
 ReflectionModel = Union[Bare, Conductivity, Drift, Nonlocal, IdealMetal]
 
 
-# --- drift-model building blocks --------------------------------------------
+# --- the two stages of each kernel --------------------------------------------
 
-def _drift_parts(state: MaterialState):
-    """Build ``parts(xi, k, eps_bar) -> (w, X, eta_L, eta_T, chi)`` at xi > 0.
+def _fresnel_stages(sigma0: float):
+    """Build the Fresnel ``frequency(xi, eps_bare)`` and ``wavevector(f, k)``.
 
-    The products of the material state are formed once, here.  Inside,
-    w = (xi/c)^2, X = eta_T^2 - k^2 and Y = eta_L^2 - k^2 come directly
+    The frequency stage returns (eps, w, X, eps - 1, eps + 1, eps w,
+    eps w - X, w - X) with eps = eps_bare + 4 pi sigma0/xi and
+    w = (xi/c)^2.  X = eta^2 - k^2 is formed from the permittivity so that
+    the conduction term enters without cancellation, and the TM numerator
+    uses (eps g0)^2 - eta^2 = (eps - 1)(k^2 (eps + 1) + eps w) + (eps w - X),
+    exact for X = eps w, which keeps r == 0 at eps == 1 exact.
+    """
+    cond = _FOURPI * sigma0
+    c, c2 = phys.C_LIGHT, phys.C_LIGHT**2
+
+    def frequency(xi, eps_bare):
+        eps = eps_bare + cond / xi
+        w = (xi / c) ** 2
+        X = eps_bare * w + cond * xi / c2
+        eps_w = eps * w
+        return eps, w, X, eps - 1.0, eps + 1.0, eps_w, eps_w - X, w - X
+
+    def wavevector(f, k):
+        eps, w, X, eps_m1, eps_p1, eps_w, eps_w_mX, w_mX = f
+        k2 = k * k
+        g = (k2 + w) ** 0.5
+        eta = (k2 + X) ** 0.5
+        num_tm = eps_m1 * (k2 * eps_p1 + eps_w) + eps_w_mX
+        return num_tm / ((eps * g + eta) ** 2), w_mX / ((g + eta) ** 2)
+    return frequency, wavevector
+
+
+def _drift_stages(state: MaterialState):
+    """Build the Drift ``frequency(xi, eps_bar)`` and ``wavevector(f, k)``.
+
+    The frequency stage returns (eps, w, X, Y, X + Y, X Y, eps w, w - X).
+    w = (xi/c)^2, and X = eta_T^2 - k^2 and Y = eta_L^2 - k^2 come directly
     from the material quantities, so the differences eta^2 - k^2 carry no
-    cancellation error, and the chi bracket is rearranged as
+    cancellation error.  A frequency so small that X underflows to 0 is
+    refused with EvaluationError, for floats and arrays alike.  The
+    wavevector stage rearranges the chi bracket as
         eta_L eta_T - k^2 = (k^2 (X + Y) + X Y) / (eta_L eta_T + k^2),
     which keeps the sigma0 = 0 identity chi == eta_T exact in floating
-    point.
+    point, and forms TE through the defect w - X, which has no
+    cancellation, unlike gamma0 - eta_T when both tend to k.
     """
     tau, D, T = state.tau, state.D, state.T
     c, c2, k_b = phys.C_LIGHT, phys.C_LIGHT**2, phys.K_B
     cond = _FOURPI * state.sigma0                    # 4 pi sigma0
     screen = _FOURPI * phys.E_CHARGE**2 * state.n0   # 4 pi e^2 n0
 
-    def parts(xi, k, eps_bar):
-        k2 = k * k
+    def frequency(xi, eps_bar):
         w = (xi / c) ** 2
         one_xt = 1.0 + xi * tau
         X = eps_bar * w + cond * xi / (c2 * one_xt)
+        if (X == 0.0).any() if type(X) is _ndarray else X == 0.0:
+            raise EvaluationError("eta_T^2 - k^2 underflowed to 0", xi=xi)
         Y = screen / (eps_bar * k_b * T) + xi * one_xt / D
+        return eps_bar, w, X, Y, X + Y, X * Y, eps_bar * w, w - X
+
+    def wavevector(f, k):
+        eps, w, X, Y, X_p_Y, X_Y, eps_w, w_mX = f
+        k2 = k * k
         etaL_v = (k2 + Y) ** 0.5
         etaT_v = (k2 + X) ** 0.5
-        cross = (k2 * (X + Y) + X * Y) / (etaL_v * etaT_v + k2)  # eta_L eta_T - k^2
-        chi_v = (k2 + eps_bar * w * cross / X) / etaL_v
-        return w, X, etaL_v, etaT_v, chi_v
-    return parts
+        cross = (k2 * X_p_Y + X_Y) / (etaL_v * etaT_v + k2)  # eta_L eta_T - k^2
+        chi_v = (k2 + eps_w * cross / X) / etaL_v
+        del etaL_v, cross  # an array call's peak memory: freed before g and r
+        g = (k2 + w) ** 0.5
+        del k2
+        return (eps * g - chi_v) / (eps * g + chi_v), w_mX / ((g + etaT_v) ** 2)
+    return frequency, wavevector
 
 
 def _drift_static_tm(k, eps0: float, kappa: float):
@@ -158,6 +206,39 @@ def _drift_static_tm(k, eps0: float, kappa: float):
     return (eps0 - c) / (eps0 + c)
 
 
+def _staged(at, static, frequency, wavevector):
+    """``pair(xi, k)`` from a kernel's static branch and its two stages.
+
+    A float or scalar ``xi == 0`` returns ``static(k)``; any other xi
+    returns ``wavevector(frequency(xi, at(xi)), k)``.  The one float-only
+    step is a memo of the frequency stage of the last ``type(xi) is
+    float`` frequency, keyed by xi: a scalar sweep over k at fixed xi
+    computes eps(i xi) and the other xi-only products once.  The memo is
+    one immutable (xi, stage) tuple, replaced in a single assignment, so a
+    concurrent caller reads either the old entry or the new one and checks
+    that entry's own xi.  Only a frequency that has passed ``at``'s check
+    is stored, and nan never compares equal, so every bad frequency still
+    reaches the check.  Arrays and numpy scalars always run the stage.
+    """
+    last = (None, None)
+
+    def pair(xi, k):
+        nonlocal last
+        if type(xi) is float:
+            if xi == 0.0:
+                return static(k)
+            entry = last
+            if entry[0] == xi:
+                return wavevector(entry[1], k)
+            f = frequency(xi, at(xi))
+            last = (xi, f)
+            return wavevector(f, k)
+        if type(xi) is not _ndarray and xi == 0.0:
+            return static(k)
+        return wavevector(frequency(xi, at(xi)), k)
+    return pair
+
+
 # --- per-model amplitude providers -------------------------------------------
 
 @lru_cache(maxsize=256)
@@ -168,93 +249,52 @@ def amplitude_fn(model: ReflectionModel, spec: MaterialSpec, T: float) -> Callab
     spec, T), once: the material state, the products of it that the
     kernels use (4 pi sigma0, 4 pi e^2 n0) and the constants of the static
     branches; the permittivity forms its own constants when the spec is
-    built.  A call does the (xi, k) arithmetic only.  The closure is pure
-    and safe to call from concurrent workers.  The cache gives one closure
-    per (model, spec, T): the engine's ``pair2 is pair1`` shortcut calls a
-    pair shared by identical plates once, and the benchmark's
-    ``materials.states_built`` counts closures.  It is the one way the
-    package evaluates an amplitude: the Lifshitz engine's
-    Q = r1 r2 exp(-2 d gamma0) kernel (behind both the Matsubara sum and
-    ``g_mode``), the nonlocal cross-check and the CLI's ``reflect`` all
-    call it.  The static TE amplitude is 0 for every model: the static TE
-    field is purely magnetic and fully penetrates a nonmagnetic medium.
-    Every provider refuses a non-finite or negative frequency with
-    DomainError, through the permittivity's check.
+    built.  Each kernel is split in two stages: a frequency stage that
+    forms eps(i xi) and every other product of xi alone into one tuple,
+    and a wavevector stage that finishes the pair from that tuple and k.
+    The closure keeps the frequency stage of the last float xi, so a
+    scalar sweep over k at fixed xi forms it once (see :func:`_staged`);
+    the memo is safe under concurrent callers, and the amplitudes do not
+    depend on the call order.  The cache gives one closure per (model,
+    spec, T): the engine's ``pair2 is pair1`` shortcut calls a pair shared
+    by identical plates once, and the benchmark's ``materials.states_built``
+    counts closures.  It is the one way the package evaluates an
+    amplitude: the Lifshitz engine's Q = r1 r2 exp(-2 d gamma0) kernel
+    (behind both the Matsubara sum and ``g_mode``), the nonlocal
+    cross-check and the CLI's ``reflect`` all call it.  The static TE
+    amplitude is 0 for every model: the static TE field is purely magnetic
+    and fully penetrates a nonmagnetic medium.  Every provider refuses a
+    non-finite or negative frequency with DomainError, through the
+    permittivity's check.
 
     ``xi`` and ``k`` may be floats or numpy arrays that broadcast together;
-    the static branch is taken for a float ``xi == 0``, so an array ``xi``
-    must hold positive frequencies only.  Amplitudes that do not depend on
-    k (the static TE zero, the ideal metal) come back as floats.
+    one wavevector-stage body serves both.  The static branch is taken for
+    a float ``xi == 0``, so an array ``xi`` must hold positive frequencies
+    only.  Amplitudes that do not depend on k (the static TE zero, the
+    ideal metal) come back as floats.
     """
     perm = spec.permittivity
     at, eps0 = perm.at, perm.eps0
 
     if isinstance(model, IdealMetal):
-        def pair_ideal(xi, k):
-            if type(xi) is not _ndarray and xi == 0.0:
-                return 1.0, 0.0
-            at(xi)  # the frequency check every provider makes
-            return 1.0, -1.0
-        return pair_ideal
+        # the frequency stage is only the check every provider makes
+        return _staged(at, lambda k: (1.0, 0.0), lambda xi, eps: None,
+                       lambda f, k: (1.0, -1.0))
 
     if isinstance(model, (Bare, Conductivity)):
         # Bare is Conductivity(0): its conduction terms add exact zeros.
         sigma0 = model.sigma0 if isinstance(model, Conductivity) else 0.0
-        cond = _FOURPI * sigma0
-        c, c2 = phys.C_LIGHT, phys.C_LIGHT**2
         # 4 pi sigma0 / xi diverges at xi = 0: a perfect TM reflector.
         r_static = 1.0 if sigma0 > 0.0 else (eps0 - 1.0) / (eps0 + 1.0)
-
-        def pair_fresnel(xi, k):
-            if type(xi) is not _ndarray and xi == 0.0:
-                return r_static, 0.0
-            eps_bare = at(xi)
-            eps = eps_bare + cond / xi
-            w = (xi / c) ** 2
-            # X = eta^2 - k^2 is formed from the permittivity so that the
-            # conduction term enters without cancellation, and the TM
-            # numerator uses (eps g0)^2 - eta^2
-            #   = (eps - 1)(k^2 (eps + 1) + eps w) + (eps w - X),
-            # exact for X = eps w, which keeps r == 0 at eps == 1 exact.
-            X = eps_bare * w + cond * xi / c2
-            k2 = k * k
-            g = (k2 + w) ** 0.5
-            eta = (k2 + X) ** 0.5
-            num_tm = (eps - 1.0) * (k2 * (eps + 1.0) + eps * w) + (eps * w - X)
-            return num_tm / ((eps * g + eta) ** 2), (w - X) / ((g + eta) ** 2)
-        return pair_fresnel
+        return _staged(at, lambda k: (r_static, 0.0), *_fresnel_stages(sigma0))
 
     if not isinstance(model, (Drift, Nonlocal)):
         raise DomainError(f"unknown reflection model {model!r}")
     state = material_state(spec, T)
     kappa = state.kappa
-
     if isinstance(model, Drift):
-        parts = _drift_parts(state)
-
-        def pair_drift(xi, k):
-            if type(xi) is not _ndarray and xi == 0.0:
-                return _drift_static_tm(k, eps0, kappa), 0.0
-            eps = at(xi)
-            w, X, _, etaT_v, chi_v = parts(xi, k, eps)
-            g = (k * k + w) ** 0.5
-            r_tm_v = (eps * g - chi_v) / (eps * g + chi_v)
-            # TE via the defect form: w - X has no cancellation, unlike
-            # gamma0 - eta_T when both tend to k.
-            r_te_v = (w - X) / ((g + etaT_v) ** 2)
-            return r_tm_v, r_te_v
-        return pair_drift
-
-    # deferred: spatial imports this module
-    from .spatial import eps_perp_drift, h_a, h_tildes, r_from_H_tilde
-
-    h_a_at = h_a(state)
-
-    def pair_nonlocal(xi, k):
-        if type(xi) is not _ndarray and xi == 0.0:
-            return _drift_static_tm(k, eps0, kappa), 0.0
-        eps = at(xi)
-        Ht_tm, _, ht_b, _, _ = h_tildes(
-            eps_perp_drift(xi, state, eps), h_a_at(k, xi, eps), xi, k)
-        return r_from_H_tilde(Ht_tm), r_from_H_tilde(ht_b)
-    return pair_nonlocal
+        stages = _drift_stages(state)
+    else:
+        from .spatial import nonlocal_stages  # deferred: spatial imports this module
+        stages = nonlocal_stages(state)
+    return _staged(at, lambda k: (_drift_static_tm(k, eps0, kappa), 0.0), *stages)

@@ -33,12 +33,15 @@ suite and the ``nonlocal-verify`` command).
 h_b and h_c have closed forms because eps_perp does not depend on q_z; h_a
 has one by partial fractions of the Lorentzian-in-q^2 eps_par, so no tensor
 object is needed.  The ``Nonlocal`` provider of
-:func:`casdrift.reflection.amplitude_fn` builds the :func:`h_a` kernel of its
-material state once; at each xi > 0 it evaluates eps(i xi) once, feeds it to
-:func:`eps_perp_drift` and that kernel, forms the tilded integrals and
+:func:`casdrift.reflection.amplitude_fn` runs the two stages that
+:func:`nonlocal_stages` builds for its material state.  The frequency stage
+takes eps(i xi), forms eps_perp with :func:`eps_perp_drift` and returns the
+xi-only parts of h_a and of the three integrals (:func:`transverse_parts`);
+the wavevector stage evaluates :func:`h_a`, forms the tilded integrals and
 H_tm - 1 in one :func:`h_tildes` call and maps H - 1 to r with
-:func:`r_from_H_tilde`, for floats or numpy arrays.  The test suite holds
-all three integrals against adaptive q_z quadrature.
+:func:`r_from_H_tilde`, for floats or numpy arrays.  The provider keeps the
+frequency stage of its last float xi.  The test suite holds all three
+integrals against adaptive q_z quadrature.
 """
 
 from __future__ import annotations
@@ -56,7 +59,9 @@ __all__ = [
     "eps_perp_drift",
     "h_a",
     "h_tildes",
+    "nonlocal_stages",
     "r_from_H_tilde",
+    "transverse_parts",
     "verify_equivalence",
 ]
 
@@ -81,48 +86,48 @@ def eps_perp_drift(xi, state: MaterialState, eps_bar):
     return eps_bar + _FOURPI * state.sigma0 / (xi * (1.0 + xi * state.tau))
 
 
-def h_a(state: MaterialState):
-    """Build ``h_a(k, xi, eps_bar)`` of one material state, for floats or arrays.
+def transverse_parts(xi, ep):
+    """(w, eps_perp w, (1 - eps_perp) w) with w = (xi/c)^2: h_tildes' xi-only part.
 
-    h_a = (a0 + kq^2 k/eta_L) / (eps (a0 + kq^2)) with a0 = xi(1+xi tau)/D,
-    kq^2 = 4 pi e^2 n0/(eps kB T) and eta_L = sqrt(k^2 + kq^2 + a0), by
-    partial fractions of the Lorentzian-in-q^2 component.  The products
-    of the material state are formed once, here.
+    gamma0^2 - eta_T^2 = (1 - eps_perp) w: differences of near-equal
+    wavevectors are formed from the permittivity defect, never by
+    subtracting the roots.
     """
-    tau, D, T, k_b = state.tau, state.D, state.T, phys.K_B
-    screen = _FOURPI * phys.E_CHARGE**2 * state.n0   # 4 pi e^2 n0
+    w = (xi / phys.C_LIGHT) ** 2
+    return w, ep * w, (1.0 - ep) * w
 
-    def h_a_at(k, xi, eps_bar):
-        a0 = xi * (1.0 + xi * tau) / D
-        kq2 = screen / (eps_bar * k_b * T)
-        eta_l = (k * k + kq2 + a0) ** 0.5
-        return (a0 + kq2 * k / eta_l) / (eps_bar * (a0 + kq2))
-    return h_a_at
+
+def h_a(a0, kq2, eps_a, k):
+    """h_a = (a0 + kq^2 k/eta_L) / (eps (a0 + kq^2)), eta_L = sqrt(k^2 + kq^2 + a0).
+
+    a0 = xi(1+xi tau)/D, kq^2 = 4 pi e^2 n0/(eps kB T) and eps_a =
+    eps (a0 + kq^2) come from the Nonlocal frequency stage; the closed form
+    follows by partial fractions of the Lorentzian-in-q^2 component.
+    """
+    eta_l = (k * k + kq2 + a0) ** 0.5
+    return (a0 + kq2 * k / eta_l) / eps_a
 
 
 # --- the three q_z integrals and H -------------------------------------------
 
-def h_tildes(ep, ha, xi, k):
+def h_tildes(w, ep_w, dw, ha, k):
     """(H_tm - 1, h~_a, h~_b, h~_c, gamma0) at xi > 0 from eps_perp and h_a.
 
-    ``ep`` and ``ha`` are the values of the two tensor components; the
-    TE function needs no assembly, H_te - 1 = h~_b.  H_tm = 1/den with
+    ``w``, ``ep_w`` and ``dw`` are :func:`transverse_parts` of eps_perp and
+    ``ha`` is the value of h_a; the TE function needs no assembly,
+    H_te - 1 = h~_b.  H_tm = 1/den with
     den = 1 + (k/g) h~_a + (w/g^2) h~_b - (k(g-k)/g^2) h~_c, so
     H_tm - 1 = (1 - den)/den; g - k is formed as w/(g + k).
     """
-    w = (xi / phys.C_LIGHT) ** 2
-    g = (k * k + w) ** 0.5
-    eta_t = (k * k + ep * w) ** 0.5
+    k2 = k * k
+    g = (k2 + w) ** 0.5
+    eta_t = (k2 + ep_w) ** 0.5
     ht_a = ha - 1.0
-    # gamma0^2 - eta_T^2 = (1 - eps_perp) w: differences of near-equal
-    # wavevectors are formed from the permittivity defect, never by
-    # subtracting the roots.
-    dw = (1.0 - ep) * w
     ht_b = dw / (eta_t * (g + eta_t))
     ht_c = dw * (g + eta_t + k) / ((g + eta_t) * eta_t * (eta_t + k))
-    # Freed before the assembly allocates its own arrays: kept alive, they
-    # made Nonlocal array sums about 4% slower on one Xeon core.
-    del eta_t, dw
+    # Freed before the assembly allocates its own arrays: kept alive, the
+    # temporaries made Nonlocal array sums about 4% slower on one Xeon core.
+    del k2, eta_t
     g_minus_k = w / (g + k)
     den_tilde = (
         (k / g) * ht_a
@@ -131,7 +136,7 @@ def h_tildes(ep, ha, xi, k):
     )
     den = 1.0 + den_tilde
     if (den == 0.0).any() if type(den) is _ndarray else den == 0.0:
-        raise EvaluationError("H_tm denominator vanished", k=k, xi=xi)
+        raise EvaluationError(f"H_tm denominator vanished at (xi/c)^2 = {w!r}", k=k)
     return -den_tilde / den, ht_a, ht_b, ht_c, g
 
 
@@ -140,6 +145,33 @@ def r_from_H_tilde(H_tilde):
     if (H_tilde == -2.0).any() if type(H_tilde) is _ndarray else H_tilde == -2.0:
         raise EvaluationError("H = -1: reflection amplitude has a pole here")
     return H_tilde / (2.0 + H_tilde)
+
+
+# --- the Nonlocal provider's two stages ---------------------------------------
+
+def nonlocal_stages(state: MaterialState):
+    """Build the Nonlocal ``frequency(xi, eps_bar)`` and ``wavevector(f, k)``.
+
+    The frequency stage returns (a0, kq^2, eps (a0 + kq^2), w,
+    eps_perp w, (1 - eps_perp) w), the xi-only parts of :func:`h_a` and
+    :func:`h_tildes`; the products of the material state are formed once,
+    here.  The wavevector stage forms h_a, the tilded integrals and
+    H_tm - 1, and maps H - 1 to r.
+    """
+    tau, D, T, k_b = state.tau, state.D, state.T, phys.K_B
+    screen = _FOURPI * phys.E_CHARGE**2 * state.n0   # 4 pi e^2 n0
+
+    def frequency(xi, eps_bar):
+        ep = eps_perp_drift(xi, state, eps_bar)
+        a0 = xi * (1.0 + xi * tau) / D
+        kq2 = screen / (eps_bar * k_b * T)
+        return (a0, kq2, eps_bar * (a0 + kq2)) + transverse_parts(xi, ep)
+
+    def wavevector(f, k):
+        a0, kq2, eps_a, w, ep_w, dw = f
+        Ht_tm, _, ht_b, _, _ = h_tildes(w, ep_w, dw, h_a(a0, kq2, eps_a, k), k)
+        return r_from_H_tilde(Ht_tm), r_from_H_tilde(ht_b)
+    return frequency, wavevector
 
 
 # --- cross-validation grid -----------------------------------------------------
@@ -166,11 +198,14 @@ def verify_equivalence(spec: MaterialSpec, T: float, n_k: int = 20, n_xi: int = 
         r = (hi / lo) ** (1.0 / (n - 1))
         return [lo * r**i for i in range(n)]
 
+    ks = logspace(*_K_RANGE, n_k)
+    xis = logspace(_XI1_FACTORS[0] * xi1, _XI1_FACTORS[1] * xi1, n_xi)
+    # xi outer, so that each provider forms its frequency stage once per xi
+    by_xi = [[(pair_drift(xi, k), pair_nonlocal(xi, k)) for k in ks] for xi in xis]
     rows = []
-    for k in logspace(*_K_RANGE, n_k):
-        for xi in logspace(_XI1_FACTORS[0] * xi1, _XI1_FACTORS[1] * xi1, n_xi):
-            for pol, r_d, r_n in zip(("TM", "TE"), pair_drift(xi, k),
-                                     pair_nonlocal(xi, k)):
+    for i, k in enumerate(ks):
+        for xi, pairs in zip(xis, by_xi):
+            for pol, r_d, r_n in zip(("TM", "TE"), *pairs[i]):
                 rel = abs(r_n - r_d) / max(abs(r_d), 1.0e-30)
                 rows.append((pol, k, xi, r_d, r_n, rel))
     return rows, max(row[5] for row in rows)

@@ -35,7 +35,6 @@ __all__ = [
     "nernst_sweep",
 ]
 
-FD_STEP_FLOOR = 0.25          # K
 ENTROPY_TOL = Tolerances(quad_rel=1.0e-10, sum_rel=1.0e-12)
 
 
@@ -64,13 +63,13 @@ def entropy(geom: Geometry, T: float,
             tolerances: Optional[Tolerances] = None) -> EntropyPoint:
     """Entropy per area from Richardson-extrapolated central differences.
 
-    Uses steps h and h/2 (default h = max(T/20, 0.25 K)); the returned
+    Uses steps h and h/2 (default h = T/20); the returned
     ``richardson_error`` is the difference of the two estimates divided by
     3 (the leading-order error of the finer one).  A warning is attached
     when that estimate exceeds |S| itself.
     """
     if fd_step is None:
-        fd_step = max(T / 20.0, FD_STEP_FLOOR)
+        fd_step = T / 20.0
     if not (fd_step > 0.0) or T - 2.0 * fd_step <= 0.0:
         raise DomainError(
             f"need T - 2 fd_step > 0 with fd_step > 0; got T={T}, fd_step={fd_step}"

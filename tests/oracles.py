@@ -49,8 +49,10 @@ from casdrift.errors import CasdriftError, DomainError, EvaluationError
 from casdrift.lifshitz import (
     Geometry, Tolerances, _with_model, free_energy_per_area, g_mode)
 from casdrift.materials import MaterialSpec, MaterialState, bare_eps, material_state
-from casdrift.reflection import Bare, ReflectionModel, _drift_parts, amplitude_fn
-from casdrift.spatial import eps_perp_drift, h_a, h_tildes
+from casdrift.reflection import Bare, ReflectionModel, _drift_stages, amplitude_fn
+from casdrift.spatial import (
+    eps_perp_drift, h_a, h_tildes, nonlocal_stages, transverse_parts,
+)
 
 
 class OracleError(CasdriftError):
@@ -135,9 +137,12 @@ class DriftQuantities:
 
 
 def drift_quantities(mode: Mode, state: MaterialState, eps_bar: float) -> DriftQuantities:
-    """eta_L, eta_T and chi from the library's cancellation-free arrangement.
+    """eta_L, eta_T and chi as the library's Drift stages give them.
 
-    ``casdrift.reflection._drift_parts`` at xi > 0; at xi = 0 the analytic
+    At xi > 0, eta_L^2 - k^2 = Y and eta_T^2 - k^2 = X come from the
+    cancellation-free frequency stage of ``casdrift.reflection._drift_stages``,
+    and chi is the surface response that the library's TM amplitude
+    r = (eps g0 - chi)/(eps g0 + chi) implies.  At xi = 0 the analytic
     static values (eta_L^2 = k^2 + 4 pi e^2 n0/(eps kB T), eta_T = k,
     chi = k^2/eta_L) are returned directly.
     """
@@ -146,8 +151,13 @@ def drift_quantities(mode: Mode, state: MaterialState, eps_bar: float) -> DriftQ
         Y = 4.0 * math.pi * phys.E_CHARGE**2 * state.n0 / (eps_bar * phys.K_B * state.T)
         etaL_v = math.sqrt(k * k + Y)
         return DriftQuantities(eta_L=etaL_v, eta_T=k, chi=k * k / etaL_v)
-    _, _, etaL_v, etaT_v, chi_v = _drift_parts(state)(mode.xi, k, eps_bar)
-    return DriftQuantities(eta_L=etaL_v, eta_T=etaT_v, chi=chi_v)
+    frequency, wavevector = _drift_stages(state)
+    f = frequency(mode.xi, eps_bar)
+    _, w, X, Y = f[:4]
+    r_tm = wavevector(f, k)[0]
+    eps_g = eps_bar * math.sqrt(k * k + w)
+    return DriftQuantities(eta_L=math.sqrt(k * k + Y), eta_T=math.sqrt(k * k + X),
+                           chi=eps_g * (1.0 - r_tm) / (1.0 + r_tm))
 
 
 # --- boundary-condition oracle ------------------------------------------------
@@ -287,7 +297,7 @@ def h_integrals(tensor, mode: Mode) -> HFunctions:
         raise DomainError("h-integrals are defined for xi > 0")
     k, xi = mode.k, mode.xi
     Ht_tm, ht_a, ht_b, ht_c, g = h_tildes(
-        tensor.eps_perp(k, xi), tensor.h_a(k, xi), xi, k)
+        *transverse_parts(xi, tensor.eps_perp(k, xi)), tensor.h_a(k, xi), k)
     h_b = 1.0 + ht_b
     return HFunctions(
         h_a=1.0 + ht_a, h_b=h_b, h_c=1.0 + ht_c,
@@ -339,7 +349,9 @@ class FullDriftTensor:
         return eps_par_drift(q, xi, self.state, bare_eps(self.spec, xi))
 
     def h_a(self, k: float, xi: float) -> float:
-        return h_a(self.state)(k, xi, bare_eps(self.spec, xi))
+        frequency, _ = nonlocal_stages(self.state)
+        a0, kq2, eps_a = frequency(xi, bare_eps(self.spec, xi))[:3]
+        return h_a(a0, kq2, eps_a, k)
 
 
 def full_drift_tensor(spec: MaterialSpec, T: float) -> FullDriftTensor:

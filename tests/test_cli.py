@@ -139,7 +139,7 @@ def test_numerical_failure_exits_3(capsys):
 
 
 @pytest.mark.parametrize("model, T, xi, k", [
-    ("drift", "1", "1e-160", "1e4"),       # X underflows to 0: ZeroDivisionError
+    ("drift", "1", "1e-160", "1e4"),       # X underflows to 0: EvaluationError
     ("nonlocal", "300", "1e13", "1e160"),  # k^2 overflows
     ("drift", "300", "1e13", "1e160"),     # k^2 overflows: a nan amplitude
 ])
@@ -226,6 +226,18 @@ def test_nernst_short(capsys):
     assert len(rows) == 2
     # short sweep never reaches freeze-out: judged on monotonicity alone
     assert any("nernst_trend = PASS" in t for t in trailing)
+
+
+@pytest.mark.parametrize("model, rc_want", [("drift", 0), ("cond", 4)])
+def test_nernst_default_sweep_drift_passes_cond_fails(model, rc_want, capsys):
+    # the paper's contrast on the default sweep 300..10 K: the drift
+    # entropy falls to 0.002 of its 300 K value, while with a fixed dc
+    # conductivity |S| at 10 K stays at 0.6 of it, above the 0.05 asked for
+    rc, out, _ = run_cli(capsys, "nernst", "--material", "Ge", "--d", "1",
+                         "--model", model)
+    assert rc == rc_want
+    verdict = "PASS" if rc_want == 0 else "FAIL"
+    assert any(f"nernst_trend = {verdict}" in t for t in parse_csv(out)[3])
 
 
 def test_modeplot_g_nonpositive(capsys):

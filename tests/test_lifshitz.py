@@ -541,13 +541,14 @@ class TestGMode:
         with pytest.raises(DomainError, match="non-passive"):
             g_mode(geom, 300.0, 0.0, np.array([1e6, 1e2]))
 
-    def test_nan_element_is_refused(self):
-        # at xi = 1e-160 the drift TM amplitude of an array call is nan
-        # (X underflows to 0); a passivity check written q >= 1 lets it pass
+    def test_nan_element_is_refused(self, monkeypatch):
+        # a nan amplitude in one element: a passivity check written q >= 1
+        # lets it pass
+        monkeypatch.setattr(lifshitz, "amplitude_fn", lambda model, spec, T: (
+            lambda xi, k: (np.array([0.5, math.nan]), 0.0)))
         geom = Geometry.identical(D_1UM, GE, Drift())
-        with np.errstate(invalid="ignore", divide="ignore"):
-            with pytest.raises(DomainError, match="nan is not finite"):
-                g_mode(geom, 1.0, np.array([1e-160]), 1e4)
+        with pytest.raises(DomainError, match="nan is not finite"):
+            g_mode(geom, 1.0, 1e13, np.array([1e4, 1e5]))
 
 
 class TestLargeSeparationScreening:

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import mpmath as mp
@@ -377,6 +379,230 @@ class TestArrayEvaluation:
         pair = amplitude_fn(model, GE, 300.0)
         with pytest.raises(DomainError, match="imaginary frequency"):
             pair(xi, 1e4)
+
+
+def _hex(v):
+    return [float(x).hex() for x in np.asarray(v, dtype=float).ravel()]
+
+
+class TestFrequencyStageMemo:
+    """Each provider keeps the frequency stage of its last float xi."""
+
+    MODELS = ALL_MODELS + [IdealMetal()]
+    KS = np.logspace(1.0, 7.0, 9).tolist()
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    def test_call_order_does_not_change_bits(self, model):
+        # xi outer (the memo hits), k outer (it always misses) and a fresh
+        # closure per call (it never exists) give the same bits
+        for spec in (GE, SI):
+            for T in (300.0, 20.0):
+                pair = amplitude_fn(model, spec, T)
+                xis = [phys.matsubara_xi(n, T) for n in range(6)] + [0.37 * XI1]
+                grid = [(xi, k) for xi in xis for k in self.KS]
+                xi_outer = [_hex(pair(xi, k)) for xi, k in grid]
+                k_outer = {(xi, k): _hex(pair(xi, k)) for k in self.KS for xi in xis}
+                fresh = [_hex(amplitude_fn.__wrapped__(model, spec, T)(xi, k))
+                         for xi, k in grid]
+                assert xi_outer == [k_outer[p] for p in grid] == fresh, (spec.name, T)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    def test_bad_frequency_after_a_cached_one_still_fails(self, model):
+        pair = amplitude_fn(model, GE, 300.0)
+        want = _hex(pair(XI1, 1e4))
+        for xi in (math.nan, math.inf, -math.inf, -XI1, -0.5):
+            with pytest.raises(DomainError, match="imaginary frequency"):
+                pair(xi, 1e4)
+            assert _hex(pair(XI1, 1e4)) == want
+        static = amplitude_fn.__wrapped__(model, GE, 300.0)(0.0, 1e4)
+        pair(XI1, 1e4)
+        assert _hex(pair(0.0, 1e4)) == _hex(static)
+        # a numpy scalar runs the stage itself and gives the float's bits
+        assert _hex(pair(np.float64(XI1), 1e4)) == want
+
+    def test_two_threads_get_the_bits_of_one(self):
+        # two threads alternate xi on one shared provider; a short switch
+        # interval makes them interleave inside the calls
+        xis = [phys.matsubara_xi(n, 300.0) for n in range(1, 5)]
+        ks = np.logspace(2.0, 6.0, 250).tolist()
+        # 1,000 calls per thread; thread a walks xi_1..xi_4, thread b
+        # xi_4..xi_1, so each call changes xi
+        work = {"a": [(xi, k) for k in ks for xi in xis],
+                "b": [(xi, k) for k in ks for xi in reversed(xis)]}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for model in ALL_MODELS:
+                single = {name: [_hex(amplitude_fn.__wrapped__(model, GE, 300.0)(xi, k))
+                                 for xi, k in pts] for name, pts in work.items()}
+                pair = amplitude_fn.__wrapped__(model, GE, 300.0)
+                with ThreadPoolExecutor(max_workers=2) as pool:
+                    futures = {name: pool.submit(lambda pts: [_hex(pair(xi, k)) for xi, k in pts],
+                                                 pts) for name, pts in work.items()}
+                    assert {name: f.result() for name, f in futures.items()} == single, model
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def test_drift_underflow_fails_alike_for_floats_and_arrays():
+    # at xi = 1e-160, 1 K (no carriers) X = eta_T^2 - k^2 underflows to 0:
+    # the frequency stage refuses it for a float and for an array alike
+    pair = amplitude_fn(Drift(), GE, 1.0)
+    for xi, k in ((1e-160, 1e4), (np.array([1e-160]), 1e4),
+                  (np.array([[XI1], [1e-160]]), np.array([1e3, 1e4]))):
+        for _ in range(2):  # a failed stage is not remembered
+            with pytest.raises(EvaluationError, match="underflowed"):
+                pair(xi, k)
+
+
+# Amplitudes on Ge at 300 K, pinned to the bit: r(xi, k) for
+# xi in (0.3, 1, 30) xi_1 and k in (1e2, 1e4, 1e6) 1/cm as (r_tm, r_te)
+# pairs, xi outer; then one array call at xi = [[0.5], [3], [20]] xi_1 and
+# eight k log-spaced over 1e2-1e6 1/cm, as the (3, 8) r_tm and r_te
+# blocks.  A change to the order of any kernel's arithmetic shows here.
+FROZEN_BITS = {
+    "Bare": (
+        [("0x1.3453137c8fde3p-1", "-0x1.3412d687b1343p-1"),
+         ("0x1.b034ea4061ab9p-1", "-0x1.3ed24627c92fap-3"),
+         ("0x1.c473789b769e3p-1", "-0x1.84b0b97995882p-16"),
+         ("0x1.340abbb731229p-1", "-0x1.3404f1c76f1a0p-1"),
+         ("0x1.6edd5e0e65d14p-1", "-0x1.d1d71963e969bp-2"),
+         ("0x1.c44f194b04bf6p-1", "-0x1.0d303feefa41dp-12"),
+         ("0x1.a836292039f66p-2", "-0x1.a83625598cf6ap-2"),
+         ("0x1.a87fd2dc13d7ap-2", "-0x1.a7ec76503a9a9p-2"),
+         ("0x1.59b51d912ccd3p-1", "-0x1.f522b5bcb2096p-5")],
+        [["0x1.3436f223023e2p-1", "0x1.34cb507e84a59p-1", "0x1.3c484468b3185p-1",
+          "0x1.713d5a385e63dp-1", "0x1.b4834b912f881p-1", "0x1.c3101ac7dcde3p-1",
+          "0x1.c45546dd6c70bp-1", "0x1.c46d12fb32e00p-1", "0x1.32903cac9af0bp-1",
+          "0x1.329466ad40beap-1", "0x1.32ce2378ac845p-1", "0x1.35d9933d26ff5p-1",
+          "0x1.54468891eb9a9p-1", "0x1.a221c8235fd5cp-1", "0x1.bfdf46d48e9bep-1",
+          "0x1.c3106e1fae4fbp-1", "0x1.fa869c2b90508p-2", "0x1.fa86d19110c93p-2",
+          "0x1.fa89b77934758p-2", "0x1.fab1f57906573p-2", "0x1.fcdc12dbc9fd4p-2",
+          "0x1.0bcc45a5580b7p-1", "0x1.53fae29a1c796p-1", "0x1.8dda70af1f170p-1"],
+         ["-0x1.341fce268224cp-1", "-0x1.338b11c2b5bebp-1", "-0x1.2bce733c2ff71p-1",
+          "-0x1.cab515bd81770p-2", "-0x1.0236a20946c41p-3", "-0x1.8bef2d503b1fcp-7",
+          "-0x1.d3b83db5d0936p-11", "-0x1.0dcb5463309ecp-14", "-0x1.328f974feb2d9p-1",
+          "-0x1.328b6d3c93318p-1", "-0x1.3251a262d02bfp-1", "-0x1.2f3c0a9c6034ep-1",
+          "-0x1.0c1fc0e3cd4a0p-1", "-0x1.d9f1e3757a9e3p-3", "-0x1.e249815b4463fp-6",
+          "-0x1.27c09df00866ep-9", "-0x1.fa8693e36cb42p-2", "-0x1.fa865e7de804ep-2",
+          "-0x1.fa83789297160p-2", "-0x1.fa5b382e0e7c6p-2", "-0x1.f82f53382d891p-2",
+          "-0x1.dc553d7506d34p-2", "-0x1.1ba614b84693ap-2", "-0x1.7cb6f8866b205p-5"]]),
+    "Conductivity": (
+        [("0x1.3457a67c8d3a1p-1", "-0x1.34176a6078736p-1"),
+         ("0x1.b03803d06e82ep-1", "-0x1.3ee03177c967dp-3"),
+         ("0x1.c4769d7925aa8p-1", "-0x1.84c7f3b2a038ap-16"),
+         ("0x1.340c1c1c5eb38p-1", "-0x1.340652327a824p-1"),
+         ("0x1.6ede81497a908p-1", "-0x1.d1da3c20c64e0p-2"),
+         ("0x1.c4500bb518339p-1", "-0x1.0d35157f2ba33p-12"),
+         ("0x1.a8367db1b3025p-2", "-0x1.a83679eb0602ap-2"),
+         ("0x1.a880276d8c7a7p-2", "-0x1.a7eccae1b290ep-2"),
+         ("0x1.59b54dd402a04p-1", "-0x1.f5238b258def2p-5")],
+        [["0x1.3439b1457c41ap-1", "0x1.34ce0e7447ebfp-1", "0x1.3c4af3172e67ap-1",
+          "0x1.713f9a91a6ef8p-1", "0x1.b48526416f312p-1", "0x1.c311fc13804e2p-1",
+          "0x1.c4572a00a3d1ap-1", "0x1.c46ef6438ca77p-1", "0x1.3290b4eab6c41p-1",
+          "0x1.3294dee9f2280p-1", "0x1.32ce9ba1bbc84p-1", "0x1.35da0a5c6ebacp-1",
+          "0x1.5446f5198f200p-1", "0x1.a2221c53433e6p-1", "0x1.bfdf99a35bd2fp-1",
+          "0x1.c310c1a50e5abp-1", "0x1.fa86e940f4e6bp-2", "0x1.fa871ea672db1p-2",
+          "0x1.fa8a048e738d3p-2", "0x1.fab2428c5fc15p-2", "0x1.fcdc5fd504eb2p-2",
+          "0x1.0bcc6b817e896p-1", "0x1.53fb05c5d345bp-1", "0x1.8dda953dd7539p-1"],
+         ["-0x1.34228d77daf24p-1", "-0x1.338dd2407773fp-1", "-0x1.2bd142c8f68d2p-1",
+          "-0x1.cabb5b9124b44p-2", "-0x1.023dd226503b9p-3", "-0x1.8bfd0a49d5583p-7",
+          "-0x1.d3c8fd0bfc32cp-11", "-0x1.0dd5018bab138p-14", "-0x1.32900f8e3f38bp-1",
+          "-0x1.328be57c51a3bp-1", "-0x1.32521ab62ea45p-1", "-0x1.2f3c83f7f3d4fp-1",
+          "-0x1.0c2043e279f5ap-1", "-0x1.d9f3b1c3496b2p-3", "-0x1.e24c47fe9a4c1p-6",
+          "-0x1.27c26a1323ce6p-9", "-0x1.fa86e0f8d1ae6p-2", "-0x1.fa86ab934f839p-2",
+          "-0x1.fa83c5a8218e4p-2", "-0x1.fa5b85457e429p-2", "-0x1.f82fa0697436ep-2",
+          "-0x1.dc558bb823b35p-2", "-0x1.1ba65d00e5f5bp-2", "-0x1.7cb794aa8db02p-5"]]),
+    "Drift": (
+        [("0x1.345353240cd1fp-1", "-0x1.3413163af8f1dp-1"),
+         ("0x1.b0351548b87d9p-1", "-0x1.3ed307d67d4b9p-3"),
+         ("0x1.c4739940eaf64p-1", "-0x1.84b1fca95e453p-16"),
+         ("0x1.340ac179cd7c2p-1", "-0x1.3404f78a24049p-1"),
+         ("0x1.6edd62d08e992p-1", "-0x1.d1d72682fa71cp-2"),
+         ("0x1.c44f1cf1b4129p-1", "-0x1.0d305429637ebp-12"),
+         ("0x1.a836292c08a95p-2", "-0x1.a83625655ba96p-2"),
+         ("0x1.a87fd2e7e289bp-2", "-0x1.a7ec765c094d5p-2"),
+         ("0x1.59b51d97e54d8p-1", "-0x1.f522b5da7dda7p-5")],
+        [["0x1.34370919b3741p-1", "0x1.34cb676b601bfp-1", "0x1.3c485ad5a187cp-1",
+          "0x1.713d6d08f059dp-1", "0x1.b4835b06698b1p-1", "0x1.c3102a525a750p-1",
+          "0x1.c45555fa4fbb3p-1", "0x1.c46d204ee6d02p-1", "0x1.32903d546fea7p-1",
+          "0x1.3294675513bdap-1", "0x1.32ce242064117p-1", "0x1.35d993e36b050p-1",
+          "0x1.54468929601bdp-1", "0x1.a221c898afc91p-1", "0x1.bfdf4747535bap-1",
+          "0x1.c3106e9131e28p-1", "0x1.fa869c3bb501cp-2", "0x1.fa86d1a13579dp-2",
+          "0x1.fa89b789591f0p-2", "0x1.fab1f5892a9a9p-2", "0x1.fcdc12ebe8c23p-2",
+          "0x1.0bcc45ad45ac1p-1", "0x1.53fae2a178878p-1", "0x1.8dda70b6bf5e6p-1"],
+         ["-0x1.341fe51ebb7d7p-1", "-0x1.338b28c4be9cep-1", "-0x1.2bce8abc1de6fp-1",
+          "-0x1.cab54a2f2be30p-2", "-0x1.0236de21118c3p-3", "-0x1.8befa135c3729p-7",
+          "-0x1.d3b8c9b7f6f2bp-11", "-0x1.0dcba5483c804p-14", "-0x1.328f97f7c075ep-1",
+          "-0x1.328b6de46a73ap-1", "-0x1.3251a30ac2d27p-1", "-0x1.2f3c0b45c3a10p-1",
+          "-0x1.0c1fc19aa430cp-1", "-0x1.d9f1e5fabf91dp-3", "-0x1.e249853b25915p-6",
+          "-0x1.27c0a07245cf3p-9", "-0x1.fa8693f391656p-2", "-0x1.fa865e8e0cb6cp-2",
+          "-0x1.fa8378a2bbcf1p-2", "-0x1.fa5b383e339b1p-2", "-0x1.f82f534858112p-2",
+          "-0x1.dc553d856ab48p-2", "-0x1.1ba614c769ed8p-2", "-0x1.7cb6f8a71e514p-5"]]),
+    "Nonlocal": (
+        [("0x1.345353240cd1cp-1", "-0x1.3413163af8f1ap-1"),
+         ("0x1.b0351548b87dbp-1", "-0x1.3ed307d67d4b8p-3"),
+         ("0x1.c4739940eaf64p-1", "-0x1.84b1fca95e452p-16"),
+         ("0x1.340ac179cd7c1p-1", "-0x1.3404f78a24048p-1"),
+         ("0x1.6edd62d08e994p-1", "-0x1.d1d72682fa71cp-2"),
+         ("0x1.c44f1cf1b412ap-1", "-0x1.0d305429637e9p-12"),
+         ("0x1.a836292c08a8fp-2", "-0x1.a83625655ba94p-2"),
+         ("0x1.a87fd2e7e28a1p-2", "-0x1.a7ec765c094d4p-2"),
+         ("0x1.59b51d97e54d6p-1", "-0x1.f522b5da7dda4p-5")],
+        [["0x1.34370919b373fp-1", "0x1.34cb676b601bep-1", "0x1.3c485ad5a187bp-1",
+          "0x1.713d6d08f059ep-1", "0x1.b4835b06698b2p-1", "0x1.c3102a525a74dp-1",
+          "0x1.c45555fa4fbb3p-1", "0x1.c46d204ee6d02p-1", "0x1.32903d546fea5p-1",
+          "0x1.3294675513bddp-1", "0x1.32ce24206411ap-1", "0x1.35d993e36b04ep-1",
+          "0x1.54468929601b9p-1", "0x1.a221c898afc92p-1", "0x1.bfdf4747535b7p-1",
+          "0x1.c3106e9131e29p-1", "0x1.fa869c3bb5018p-2", "0x1.fa86d1a13579ep-2",
+          "0x1.fa89b789591ecp-2", "0x1.fab1f5892a9a6p-2", "0x1.fcdc12ebe8c20p-2",
+          "0x1.0bcc45ad45ac0p-1", "0x1.53fae2a178878p-1", "0x1.8dda70b6bf5e9p-1"],
+         ["-0x1.341fe51ebb7dap-1", "-0x1.338b28c4be9ccp-1", "-0x1.2bce8abc1de6fp-1",
+          "-0x1.cab54a2f2be2ep-2", "-0x1.0236de21118c5p-3", "-0x1.8befa135c372ap-7",
+          "-0x1.d3b8c9b7f6f2cp-11", "-0x1.0dcba5483c806p-14", "-0x1.328f97f7c075ep-1",
+          "-0x1.328b6de46a739p-1", "-0x1.3251a30ac2d26p-1", "-0x1.2f3c0b45c3a10p-1",
+          "-0x1.0c1fc19aa430ap-1", "-0x1.d9f1e5fabf91cp-3", "-0x1.e249853b25914p-6",
+          "-0x1.27c0a07245cf3p-9", "-0x1.fa8693f391655p-2", "-0x1.fa865e8e0cb6cp-2",
+          "-0x1.fa8378a2bbcf2p-2", "-0x1.fa5b383e339b1p-2", "-0x1.f82f534858111p-2",
+          "-0x1.dc553d856ab47p-2", "-0x1.1ba614c769ed9p-2", "-0x1.7cb6f8a71e514p-5"]]),
+    "IdealMetal": (
+        [("0x1.0000000000000p+0", "-0x1.0000000000000p+0"),
+         ("0x1.0000000000000p+0", "-0x1.0000000000000p+0"),
+         ("0x1.0000000000000p+0", "-0x1.0000000000000p+0"),
+         ("0x1.0000000000000p+0", "-0x1.0000000000000p+0"),
+         ("0x1.0000000000000p+0", "-0x1.0000000000000p+0"),
+         ("0x1.0000000000000p+0", "-0x1.0000000000000p+0"),
+         ("0x1.0000000000000p+0", "-0x1.0000000000000p+0"),
+         ("0x1.0000000000000p+0", "-0x1.0000000000000p+0"),
+         ("0x1.0000000000000p+0", "-0x1.0000000000000p+0")],
+        [["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+          "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+          "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+          "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+          "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+          "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+          "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+          "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"],
+         ["-0x1.0000000000000p+0", "-0x1.0000000000000p+0", "-0x1.0000000000000p+0",
+          "-0x1.0000000000000p+0", "-0x1.0000000000000p+0", "-0x1.0000000000000p+0",
+          "-0x1.0000000000000p+0", "-0x1.0000000000000p+0", "-0x1.0000000000000p+0",
+          "-0x1.0000000000000p+0", "-0x1.0000000000000p+0", "-0x1.0000000000000p+0",
+          "-0x1.0000000000000p+0", "-0x1.0000000000000p+0", "-0x1.0000000000000p+0",
+          "-0x1.0000000000000p+0", "-0x1.0000000000000p+0", "-0x1.0000000000000p+0",
+          "-0x1.0000000000000p+0", "-0x1.0000000000000p+0", "-0x1.0000000000000p+0",
+          "-0x1.0000000000000p+0", "-0x1.0000000000000p+0", "-0x1.0000000000000p+0"]]),
+}
+
+
+@pytest.mark.parametrize("model", ALL_MODELS + [IdealMetal()], ids=lambda m: type(m).__name__)
+def test_frozen_bits(model):
+    pair = amplitude_fn(model, GE, 300.0)
+    floats, arrays = FROZEN_BITS[type(model).__name__]
+    got = [tuple(_hex(pair(xi, k))) for xi in (0.3 * XI1, XI1, 30.0 * XI1)
+           for k in (1e2, 1e4, 1e6)]
+    assert got == floats
+    block = pair(np.array([[0.5], [3.0], [20.0]]) * XI1, np.logspace(2.0, 6.0, 8))
+    assert [_hex(np.broadcast_to(r, (3, 8))) for r in block] == arrays
 
 
 def test_dispatch_rejects_unknown_model():

@@ -31,12 +31,16 @@ class TestEntropy:
         assert abs(a.S - b.S) <= 3.0 * (a.richardson_error + b.richardson_error) \
             + 1e-12 * abs(a.S)
 
-    def test_step_floor_and_domain(self):
+    def test_default_step_and_domain(self):
+        # the default step T/20 leaves T - 2h = 0.9 T > 0 at every T > 0;
+        # an explicit step must still keep T - 2h > 0
         geom = Geometry.identical(D_1UM, GE, Drift())
-        with pytest.raises(DomainError):
-            entropy(geom, 0.4)  # floored step 0.25 K leaves T - 2h <= 0
-        with pytest.raises(DomainError):
-            entropy(geom, 300.0, fd_step=200.0)
+        pt = entropy(geom, 0.4)
+        assert pt.fd_step == 0.4 / 20.0
+        assert pt.S > 0.0 and pt.richardson_error <= 1e-3 * pt.S
+        for T, h in ((0.4, 0.25), (300.0, 200.0), (300.0, 150.0)):
+            with pytest.raises(DomainError):
+                entropy(geom, T, fd_step=h)
 
     def test_termwise_vs_whole_sum_differentiation(self):
         # differentiating the total equals summing differentiated per-n terms
