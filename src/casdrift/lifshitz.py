@@ -24,15 +24,18 @@ k = sqrt(t (t + 2 u_n)) / (2 d) has no cancellation.  A term n >= 1 runs
 over t in [0, 45]: exp(-45) ~ 2.9e-20, and its energy or pressure
 integrand past t = 45 adds less than 1e-16 of the term.  Its starting
 panels halve [0, 5] toward t = 0 down to about u_n, the scale its
-integrand varies on there.  The static n = 0 term runs over [0, 60], on
-panels graded toward t = 0, where a screened or perfect reflector's TM
-integrand has a log singularity.  A block of terms shares one adaptive
-Gauss-Kronrod (G10/K21, QUADPACK's rule and error estimate) bisection.
-Each pass evaluates every new panel of the block in one vectorized
-integrand call, or two when the static term has new panels, and each
-call yields TM and TE together from one amplitude call per plate.  Each
-(term, polarization) component keeps its own error estimate and is
-refined until that estimate is at most ``quad_rel`` times its value.
+integrand varies on there, and a term with [0, 5] halved splits [5, 20]
+at 12.5.  The static n = 0 term runs over [0, 60], on panels graded
+toward t = 0 down to 60/2^17, where a screened or perfect reflector's TM
+integrand has a log singularity.  These are the panels the terms
+converge on, so a block usually takes one pass.  A block of terms shares
+one adaptive Gauss-Kronrod (G10/K21, QUADPACK's rule and error estimate)
+bisection.  Each pass evaluates every new panel of the block in one
+vectorized integrand call, or two when the static term has new panels,
+and each call yields TM and TE together from one amplitude call per
+plate.  Each (term, polarization) component keeps its own error estimate
+and is refined until that estimate is at most ``quad_rel`` times its
+value.
 
 The first block runs from n = 0 to 8 terms past the n where
 exp(-2 d xi_n / c) falls below ``sum_rel``, with at most 256 terms
@@ -59,17 +62,18 @@ and Bjorck, Numerical Methods in Scientific Computing I, SIAM 2008)::
                       - 863 Delta^5 f_M/60480 + 275 Delta^6 f_M/24192
                       - 33953 Delta^7 f_M/3628800,
 
-with forward differences Delta.  The head stops at the first M where the
-next two terms, |8183 Delta^8 f_M/1036800| + |3250433 Delta^9 f_M/479001600|,
-are at most ``sum_rel``/4 of the accumulated value; their sum is the
-recorded truncation estimate.  F is integrated by an adaptive G10/K21
-rule over s, each of its nodes a term at xi = s c / (2 d) from the
-same block engine, held to ``quad_rel`` of the integral; the recorded
-quadrature estimate adds its error and the inner terms' errors under its
-weights to those of the walked terms.  ``value`` is the ordered sum of
-the head's terms n < M plus this remainder.  The three-small-terms stop
-stays active in the head, and a head left with fewer than 84 expected
-terms to go continues as a direct walk.
+with forward differences Delta.  The recorded truncation estimate is
+twice the next two terms, 2 (|8183 Delta^8 f_M/1036800|
++ |3250433 Delta^9 f_M/479001600|): the omitted terms add up to as much
+as 1.63 times the two.  The head stops at the first M where the estimate
+is at most ``sum_rel``/2 of the accumulated value.  F is integrated by
+an adaptive G10/K21 rule over s, each of its nodes a term at
+xi = s c / (2 d) from the same block engine, held to ``quad_rel`` of the
+integral; the recorded quadrature estimate adds its error and the inner
+terms' errors under its weights to those of the walked terms.  ``value``
+is the ordered sum of the head's terms n < M plus this remainder.  The
+three-small-terms stop stays active in the head, and a head left with
+fewer than 84 expected terms to go continues as a direct walk.
 
 Each :class:`Plate` binds its material and its reflection model; every
 operation reads the model from there.  :func:`g_mode` forms the mode
@@ -289,9 +293,10 @@ _W_GAUSS[1:10:2] = _WG
 _W_GAUSS[11:20:2] = tuple(reversed(_WG))
 _W_KG = np.stack((_W_KRONROD, _W_GAUSS), axis=1)
 _EPS = np.finfo(float).eps
-# starting panels of the static n = 0 term: seventeen, halving down to
-# 60/2^16 ~ 1e-3 toward t = 0 (see _start_panels for n >= 1)
-_STATIC_EDGES = np.concatenate(([0.0], _T_WINDOW * 0.5 ** np.arange(16, -1, -1)))
+# starting panels of the static n = 0 term: eighteen, halving down to
+# 60/2^17 ~ 5e-4 toward t = 0; a first panel of 60/2^16 was split in a
+# second pass at 150 and 300 K (see _start_panels for n >= 1)
+_STATIC_EDGES = np.concatenate(([0.0], _T_WINDOW * 0.5 ** np.arange(17, -1, -1)))
 
 
 def _integrand(kind: str, d: float, xi, u_min, t, pair1, pair2, out):
@@ -344,13 +349,24 @@ def _start_panels(u_rows, n_static: int):
     The static row takes ``_STATIC_EDGES``.  Each row n >= 1 takes [0, 5],
     halved toward t = 0 (at most _HALVINGS times) until its first panel is
     no wider than 2 u_n, the scale its integrand varies on near t = 0, and
-    then [5, 20] and [20, _T_END].
+    then [5, 20] and [20, _T_END].  A row whose [0, 5] is halved at least
+    once, one with 2 u_n < 5, splits [5, 20] at 12.5 as well: its finer
+    panels share its tolerance more ways, and [5, 20] then fails its share
+    and is split in a second pass.  These are the panels the first pass
+    would otherwise split, so a block converges in one pass in the common
+    case.
     """
     halves = 5.0 * 0.5 ** np.arange(_HALVINGS, -1, -1)
-    ladder = np.concatenate(([0.0], halves, [20.0, _T_END]))
+    ladder = np.concatenate(([0.0], halves, [12.5, 20.0, _T_END]))
     lo = np.searchsorted(halves[1:], 2.0 * u_rows[n_static:], side="right")
-    i, k = np.nonzero(np.arange(len(ladder) - 1) >= lo[:, None])
-    row, a, b = i + n_static, np.where(k == lo[i], 0.0, ladder[k]), ladder[k + 1]
+    # a row's edges: 0, the ladder from halves[lo] on, 12.5 only if lo < _HALVINGS
+    j = np.arange(len(ladder))
+    keep = (j > lo[:, None]) | (j == 0)
+    keep[:, _HALVINGS + 2] = lo < _HALVINGS
+    i, j = np.nonzero(keep)
+    inner = i[1:] == i[:-1]  # consecutive edges of one row bound a panel
+    row = i[1:][inner] + n_static
+    a, b = ladder[j[:-1][inner]], ladder[j[1:][inner]]
     if n_static:
         row = np.concatenate((np.zeros(len(_STATIC_EDGES) - 1, dtype=int), row))
         a = np.concatenate((_STATIC_EDGES[:-1], a))
@@ -461,18 +477,21 @@ def _gregory(f) -> float:
 
 
 def _gregory_next(f) -> float:
-    """|G_8 Delta^8 f_M| + |G_9 Delta^9 f_M| from f = f_M..f_{M+9}.
+    """2 (|G_8 Delta^8 f_M| + |G_9 Delta^9 f_M|) from f = f_M..f_{M+9}.
 
-    The size of the next two terms past :func:`_gregory`'s correction:
-    with both, a sign change of one of them cannot pass for convergence.
-    The differences are binomial sums: 2.9 us a call against 14.5 us for
-    a difference table on one Xeon core, and the head checks every n.
+    Twice the size of the next two terms past :func:`_gregory`'s
+    correction: with both, a sign change of one of them cannot pass for
+    convergence, and the omitted terms add up to as much as 1.63 times
+    their size (tail sums of Ge/Drift, Si/Nonlocal and Ge/Conductivity at
+    0.1 and 1 um and 3-18 K, against complete sums at quad_rel 1e-12).  The
+    differences are binomial sums: 2.9 us a call against 14.5 us for a
+    difference table on one Xeon core, and the head checks every n.
     """
     d8 = d9 = 0.0
     for b8, b9, x in zip(_DELTA8, _DELTA9, f):
         d8 += b8 * x
         d9 += b9 * x
-    return abs(_GREGORY[8] * d8) + abs(_GREGORY[9] * d9)
+    return 2.0 * (abs(_GREGORY[8] * d8) + abs(_GREGORY[9] * d9))
 
 
 def _tail_integral(kind: str, d: float, s0: float, pair1, pair2, quad_rel: float):
@@ -630,7 +649,7 @@ def _matsubara_sum(kind: str, geom: Geometry, T: float,
                 terms.append(term)
                 if n >= _HEAD_MIN + 9:  # Gregory's formula at M = n - 9 reads f_M..f_n
                     next_order = _gregory_next(terms[n - 9:])
-                    if next_order <= 0.25 * tol.sum_rel * abs(acc):
+                    if next_order <= 0.5 * tol.sum_rel * abs(acc):
                         tail_from = n - 9
                         done = True
                         break

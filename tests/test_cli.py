@@ -240,6 +240,36 @@ def test_nernst_default_sweep_drift_passes_cond_fails(model, rc_want, capsys):
     assert any(f"nernst_trend = {verdict}" in t for t in parse_csv(out)[3])
 
 
+def test_main_reuses_its_parser(capsys):
+    # main builds its parser once per process; a run after others must
+    # behave as it does on a parser of its own
+    from casdrift import __version__, cli
+
+    runs = [["energy", "--material", "Ge", "--d", "1,2"],
+            ["nernst", "--material", "Ge", "--T-list", "120,60"],
+            ["energy", "--material", "Ge", "--T-list", "300"],
+            ["--version"]]
+
+    def outcome(argv):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = f"exit {exc.code}"
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    alone = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        alone.append(outcome(argv))
+    together = [outcome(argv) for argv in runs]
+    assert together == alone
+    assert cli._parser.cache_info().misses == 1
+    assert [rc for rc, _, _ in alone] == [0, 0, "exit 2", "exit 0"]
+    assert "unrecognized arguments: --T-list" in alone[2][2]
+    assert alone[3][1] == f"{__version__}\n"
+
+
 def test_modeplot_g_nonpositive(capsys):
     rc, out, _ = run_cli(capsys, "modeplot", "--material", "Ge", "--model",
                          "drift", "--d", "1", "--T-list", "150,300")

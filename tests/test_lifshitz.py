@@ -297,20 +297,23 @@ class TestSumStats:
         assert st.terms_kept == len(a.per_n_terms) == a.n_truncated_at + 1
         assert st.terms_computed >= st.terms_kept
         assert st.nodes % 21 == 0 and st.nodes >= 21 * st.panels
-        assert st.panels >= st.terms_computed and st.passes >= 2
+        assert st.panels >= st.terms_computed and st.passes >= 1
+        # every split panel leaves 21 nodes more than its final panels hold
+        assert (st.nodes == 21 * st.panels) == (st.passes == 1)
         assert st.tail_rows == 0 and a.remainder == 0.0
 
-    # An entropy-tolerance sum takes at most three G-K passes: n = 0 shares
-    # the first block and every term starts on panels fitted to its scale.
-    # With n = 0 in a block of its own and the same three starting panels
-    # for every n >= 1, these sums took 5 and 6 passes, with the nodes
-    # per kept term and the overshoot past the stop given here.
+    # An entropy-tolerance sum takes one G-K pass: n = 0 shares the first
+    # block and every term starts on the panels it converges on.  With
+    # n = 0 in a block of its own and the same three starting panels for
+    # every n >= 1, these sums took 5 and 6 passes, with the nodes per kept
+    # term and the overshoot past the stop given here; with starting panels
+    # fitted to 2 u_n alone, 2 passes.
     @pytest.mark.parametrize("T, nodes_per_term, overshoot",
                              [(315.0, 95.0, 4), (42.0, 78.5, 2)])
     def test_entropy_sums_take_few_passes(self, T, nodes_per_term, overshoot):
         st = free_energy_per_area(Geometry.identical(D_1UM, GE, Drift()), T,
                                   tolerances=ENTROPY_TOL).stats
-        assert st.passes <= 3
+        assert st.passes == 1
         assert st.nodes / st.terms_kept < nodes_per_term
         assert st.terms_computed - st.terms_kept <= overshoot + 8
         assert st.tail_rows == 0
@@ -323,6 +326,23 @@ class TestSumStats:
                                    tolerances=ENTROPY_TOL)
         assert res.stats.tail_rows > 0 and res.remainder != 0.0
         assert res.stats.nodes < nodes
+
+    def test_nernst_sweep_takes_one_pass_per_block(self):
+        # the Nernst sweep of Ge/Drift at 1 um: four sums per entropy point,
+        # at T +- h and T +- h/2 with h = T/20.  A direct sum is one block
+        # and one pass, a tail sum a head block and a tail block of one pass
+        # each.  With starting panels fitted to 2 u_n alone, the sweep took
+        # 58 passes in 32 blocks, for the same 175,644 nodes.
+        geom = Geometry.identical(D_1UM, GE, Drift())
+        nodes = 0
+        for T in (300.0, 150.0, 75.0, 40.0, 20.0, 10.0):
+            h = T / 20.0
+            for t in (T + h, T - h, T + 0.5 * h, T - 0.5 * h):
+                st = free_energy_per_area(geom, t, tolerances=ENTROPY_TOL).stats
+                assert st.passes == (2 if st.tail_rows else 1), (t, st)
+                assert (st.tail_rows > 0) == (T <= 20.0), (t, st)
+                nodes += st.nodes
+        assert abs(nodes - 175_644) <= 0.01 * 175_644
 
 
 class TestMatsubaraTail:
@@ -364,6 +384,25 @@ class TestMatsubaraTail:
                     head += te + tm
                 assert res.value == head + res.remainder, what
 
+    # With the quadrature held to 1e-12, the truncation estimate alone
+    # must cover the tail's error: |G_8 Delta^8| + |G_9 Delta^9| at the stop
+    # understated it by up to 1.63 times in these sums.
+    @pytest.mark.parametrize("T", [18.0, 10.0])
+    @pytest.mark.parametrize("name, spec, model", [
+        ("Ge/Drift", GE, Drift()),
+        ("Ge/Conductivity", GE, Conductivity(2.09e10)),
+        ("Si/Nonlocal", SI, Nonlocal())])
+    def test_truncation_estimate_covers_the_tail(self, name, spec, model, T):
+        geom = Geometry.identical(D_1UM, spec, model)
+        for kind, op in (("energy", free_energy_per_area), ("pressure", pressure)):
+            complete = complete_matsubara_sum(kind, geom, T)
+            for sum_rel in (1e-10, 1e-12):
+                res = op(geom, T, tolerances=Tolerances(quad_rel=1e-12, sum_rel=sum_rel))
+                what = (name, kind, T, sum_rel)
+                assert res.stats.tail_rows > 0, what
+                diff = abs(res.value - complete)
+                assert diff <= res.truncation_error_estimate + res.quadrature_error_estimate, what
+
     def test_tail_bookkeeping(self):
         res = free_energy_per_area(Geometry.identical(D_1UM, GE, Drift()), 10.0,
                                    tolerances=ENTROPY_TOL)
@@ -379,8 +418,10 @@ class TestMatsubaraTail:
 
     def test_tail_rows_leave_notes(self, monkeypatch):
         # inner terms at their panel limit: some at tail nodes, which lie
-        # between the Matsubara frequencies
+        # between the Matsubara frequencies.  Their starting panels converge
+        # within four panels, so [0, 5] starts unhalved as well
         monkeypatch.setattr(lifshitz, "_PANEL_LIMIT", 4)
+        monkeypatch.setattr(lifshitz, "_HALVINGS", 0)
         res = free_energy_per_area(Geometry.identical(D_1UM, GE, Drift()), 1.0,
                                    tolerances=ENTROPY_TOL)
         assert res.stats.tail_rows > 0
@@ -416,7 +457,10 @@ class TestMatsubaraTail:
 
 class TestEngineGuards:
     def test_panel_limit_leaves_a_note(self, monkeypatch):
+        # the static term one halving short of its starting ladder: its first
+        # panel fails, and the term is already past the panel limit
         monkeypatch.setattr(lifshitz, "_PANEL_LIMIT", 4)
+        monkeypatch.setattr(lifshitz, "_STATIC_EDGES", np.delete(lifshitz._STATIC_EDGES, 1))
         res = free_energy_per_area(Geometry.identical(D_1UM, GE, Drift()), 300.0,
                                    tolerances=TIGHT)
         assert any(w.startswith("quadrature note at xi=0.0000e+00 (TM): panel limit")
