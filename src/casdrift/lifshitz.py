@@ -49,31 +49,27 @@ infinite estimate.  Terms are reduced in fixed n-order and every array
 operation runs in a fixed order, so repeated runs are bit-identical.
 ``SummationResult.stats`` records the work done.
 
-A long sum, one whose expected n exceeds twice the 84 frequencies of
-the tail's first pass, ends in an xi-integral instead.  Past its first
-few dozen terms the summand f(n) = F(a n), a = 2 d xi_1 / c, is a smooth
-function of s = 2 d xi / c, damped as exp(-s).  Such a sum walks blocks
-of 64 terms (the first with n = 0 as well), its head, and at each
-n = M >= 8 forms Gregory's end correction from f_M..f_{M+9} (Dahlquist
-and Bjorck, Numerical Methods in Scientific Computing I, SIAM 2008)::
+A long sum, one expected to outlast a head block of 64 terms and the 28
+terms the tail's first pass is worth, ends in an xi-integral instead.
+Past its first few dozen terms the summand f(n) = F(a n), a = 2 d xi_1 / c,
+is a smooth function of s = 2 d xi / c, damped as exp(-s).  Such a sum
+walks blocks of 64 terms (the first with n = 0 as well), its head, and at
+each n = M >= 8 forms Gregory's end correction (Dahlquist and Bjorck,
+Numerical Methods in Scientific Computing I, SIAM 2008)::
 
-    Sum_{n>=M} f(n) = (1/a) Int_{s_M}^{s_M+45} F(s) ds + f_M/2 - Delta f_M/12
-                      + Delta^2 f_M/24 - 19 Delta^3 f_M/720 + 3 Delta^4 f_M/160
-                      - 863 Delta^5 f_M/60480 + 275 Delta^6 f_M/24192
-                      - 33953 Delta^7 f_M/3628800,
+    Sum_{n>=M} f(n) = (1/a) Int_{s_M}^oo F(s) ds + f_M/2 - Delta f_M/12
+                      + Delta^2 f_M/24 - ... - 33953 Delta^7 f_M/3628800,
 
 with forward differences Delta.  The recorded truncation estimate is
-twice the next two terms, 2 (|8183 Delta^8 f_M/1036800|
-+ |3250433 Delta^9 f_M/479001600|): the omitted terms add up to as much
-as 1.63 times the two.  The head stops at the first M where the estimate
-is at most ``sum_rel``/2 of the accumulated value.  F is integrated by
-an adaptive G10/K21 rule over s, each of its nodes a term at
-xi = s c / (2 d) from the same block engine, held to ``quad_rel`` of the
-integral; the recorded quadrature estimate adds its error and the inner
-terms' errors under its weights to those of the walked terms.  ``value``
+twice the next two terms, 2 (|G_8 Delta^8 f_M| + |G_9 Delta^9 f_M|): the
+omitted terms add up to as much as 1.63 times the two.  The head stops at
+the first M where the estimate is at most ``sum_rel``/2 of the running
+value.  J is taken in Lifshitz's polar form (``_tail_integral``), held
+to ``quad_rel``; its error joins the quadrature estimate, and from
+s_M = 0 it gives the T = 0 energy hbar c J / (32 pi^2 d^3).  ``value``
 is the ordered sum of the head's terms n < M plus this remainder.  The
-three-small-terms stop stays active in the head, and a head left with
-fewer than 84 expected terms to go continues as a direct walk.
+three-small-terms stop stays active in the head; a head with fewer than
+28 expected terms to go continues as a direct walk.
 
 Each :class:`Plate` binds its material and its reflection model; every
 operation reads the model from there.  :func:`g_mode` forms the mode
@@ -119,9 +115,10 @@ _BLOCK_MIN = 8            # Matsubara terms per block, n >= 1; the cap
 _BLOCK_MAX = 256          # bounds the arrays of one pass
 _HEAD_BLOCK = 64          # terms n >= 1 per block of a sum that may take the tail
 _HEAD_MIN = 8             # the first n at which the tail may start
-_TAIL_EDGES = np.array([0.0, 3.0, 8.0, 20.0, _T_END])  # outer panels past s_M
-_TAIL_ROWS = 21 * (len(_TAIL_EDGES) - 1)  # frequencies of the tail's first pass
-_TAIL_PANEL_LIMIT = 32    # outer G-K panels of the tail
+_TAIL_PANELS = (0.0, 3.0, 8.0, 20.0, _T_END)  # the tail's first v-panels
+# the terms its first pass is worth: 4 cells of 21 x 21 nodes over the 3 x 21 of a far term
+_TAIL_TERMS = (len(_TAIL_PANELS) - 1) * 21 // 3
+_TAIL_CELL_LIMIT = 256    # K21 x K21 cells of the tail
 # Gregory's coefficients G_j: Sum_{n>=M} f(n) = Int_M^oo f + Sum_j G_j Delta^j f_M
 _GREGORY = (1.0 / 2.0, -1.0 / 12.0, 1.0 / 24.0, -19.0 / 720.0, 3.0 / 160.0,
             -863.0 / 60480.0, 275.0 / 24192.0, -33953.0 / 3628800.0,
@@ -181,8 +178,8 @@ class SumStats:
     ``passes`` the Gauss-Kronrod passes (one vectorized integrand call
     each, or two while the static n = 0 term is refined) and ``panels``
     the final panels over all computed terms.  A sum that takes the tail
-    integral counts its work in the same totals, and ``tail_rows`` is the
-    number of frequencies its outer rule evaluated (0 for a direct sum).
+    counts its work in the same totals, its final cells as panels, and
+    ``tail_rows`` is the tail's share of ``nodes`` (0 for a direct sum).
     """
 
     terms_kept: int
@@ -462,12 +459,7 @@ def _refuse_non_finite(kind: str, xis, vals) -> None:
 
 
 def _gregory(f) -> float:
-    """Gregory's end correction Sum_{j<8} G_j Delta^j f_M from f = f_M..f_{M+7}.
-
-    Sum_{n>=M} f(n) = Int_M^oo f(x) dx + f_M/2 - Delta f_M/12
-    + Delta^2 f_M/24 - 19 Delta^3 f_M/720 + ..., with forward differences
-    Delta, taken here to Delta^7.
-    """
+    """Gregory's end correction Sum_{j<8} G_j Delta^j f_M from f = f_M..f_{M+7}."""
     correction = 0.0
     row = list(f)
     for g in _GREGORY[:8]:
@@ -495,61 +487,65 @@ def _gregory_next(f) -> float:
 
 
 def _tail_integral(kind: str, d: float, s0: float, pair1, pair2, quad_rel: float):
-    """Int_{s0}^{s0 + 45} (I_TM + I_TE) ds over s = 2 d xi / c.
+    """J = Int_{s0}^oo F(s) ds over s0 <= s <= u in polar form (energy)::
 
-    The outer rule is G10/K21 on the panels s0 + _TAIL_EDGES, the first
-    of them halved toward s0 until it is no wider than 8 s0: the summand
-    is not analytic at s = 0 (the ideal metal's goes as s^2 ln s), a
-    distance s0 away.  The panels are bisected on QUADPACK's error
-    estimate until their summed error is at most quad_rel times the
-    integral, or _TAIL_PANEL_LIMIT panels are reached (with a note); the
-    inner terms' own errors are reported, not refined.  Each pass
-    integrates the inner terms of its new nodes as one block.
+        J = Int_0^45 dv u v Int_0^1 dq Sum_p ln(1 - Q)    (pressure: u^2 v Q/(1 - Q))
 
-    Returns (J, E, notes, counts): the integral, its error estimate (the
-    outer G-K error plus the inner errors under the outer weights), the
-    notes and (nodes, passes, panels, rows).
+    u = s0 + v, s = s0 + v q, xi = s c/(2 d), k = sqrt(v (1 - q) (2 s0 + v (1 + q)))/(2 d)
+    (Lifshitz, Sov. Phys. JETP 2, 73, 1956); v > 45 adds below exp(-45).
+    Each cell is a K21 x K21 rule, its error the G-K error in v plus the
+    q-rules' errors under the v-weights; a pass's new cells are one
+    integrand call.  They start on the v-panels _TAIL_PANELS, the first
+    halved while wider than 8 s0 (F is not analytic at s = 0), with q in
+    [0, 1].  While the summed error exceeds quad_rel |J|, each cell above
+    its share splits in v or in q, whichever part of its error is larger;
+    a q-split at q = 0 cuts at 1/8, as where r_TM -> 1 (xi < 4 pi
+    sigma0/eps0) the integrand varies on the scale s0/v there (188k nodes
+    over 20 Conductivity tails, 331k halved).  Non-finite nodes are
+    refused; a rule that cannot split or has _TAIL_CELL_LIMIT cells stops
+    with a note.  Returns (J, its error, notes, (nodes, passes, cells)).
     """
-    first = _TAIL_EDGES[1]
-    halvings = min(max(math.ceil(math.log2(first / (8.0 * s0))), 0), 20)
-    edges = s0 + np.concatenate((_TAIL_EDGES[:1], first * 0.5 ** np.arange(halvings, 0, -1),
-                                 _TAIL_EDGES[1:]))
-    new_a, new_b = edges[:-1], edges[1:]
-    a = b = val = err = inner = np.empty(0)
-    notes = []
-    counts = [0, 0, 0, 0]
+    first = _TAIL_PANELS[1]
+    halvings = max(math.ceil(math.log2(first / (8.0 * s0))), 0) if s0 > 0.0 else 0
+    v = np.concatenate(([0.0], first * 0.5 ** np.arange(halvings, 0, -1), _TAIL_PANELS[1:]))
+    new = np.stack((v[:-1], v[1:], 0.0 * v[1:], 1.0 + 0.0 * v[1:]))
+    cells = np.empty((7, 0))  # v- and q-bounds, value, v-error, q-error
+    notes, nodes, passes = [], 0, 0
     while True:
-        half = 0.5 * (new_b - new_a)
-        s = half[:, None] * _NODES
-        s += 0.5 * (new_a + new_b)[:, None]
-        xis = s.ravel() * (phys.C_LIGHT / (2.0 * d))
-        I, E, row_notes, work = _block_integrals(kind, d, xis, pair1, pair2, quad_rel)
-        _refuse_non_finite(kind, xis, I)
-        for i in sorted(row_notes):
-            notes.extend(row_notes[i])
-        counts = [c + w for c, w in zip(counts, work + (len(xis),))]
-        v, e = _kronrod((I[0] + I[1]).reshape(s.shape), half)
-        a, b = np.concatenate((a, new_a)), np.concatenate((b, new_b))
-        val, err = np.concatenate((val, v)), np.concatenate((err, e))
-        inner = np.concatenate((inner, half * ((E[0] + E[1]).reshape(s.shape) @ _W_KRONROD)))
-
-        J, outer = float(val.sum()), float(err.sum())
+        mid, half = 0.5 * (new[::2] + new[1::2]), 0.5 * (new[1::2] - new[::2])
+        v = mid[0, :, None, None] + half[0, :, None, None] * _NODES[:, None]
+        q = mid[1, :, None, None] + half[1, :, None, None] * _NODES
+        s = s0 + v * q
+        xi = s * (phys.C_LIGHT / (2.0 * d))
+        f = np.empty((2,) + s.shape)
+        _integrand(kind, d, xi, s, v * (1.0 - q), pair1, pair2, f)
+        if not np.isfinite(f).all():
+            _refuse_non_finite(kind, xi.ravel(), f.reshape(2, -1))
+        inner, inner_err = _kronrod(v * (f[0] + f[1]), half[1, :, None])
+        outer, outer_err = _kronrod(inner, half[0])
+        nodes, passes = nodes + f[0].size, passes + 1
+        cells = np.concatenate((cells, np.vstack(
+            (new, outer, outer_err, half[0] * (inner_err @ _W_KRONROD)))), axis=1)
+        err = cells[5] + cells[6]
+        J, E = float(cells[4].sum()), float(err.sum())
         tol = quad_rel * abs(J)
-        if outer <= tol:
+        if E <= tol:
             break
-        if len(a) >= _TAIL_PANEL_LIMIT:
+        split = err * len(err) > tol
+        if len(err) >= _TAIL_CELL_LIMIT or not split.any():
             notes.append(
-                f"quadrature note in the Matsubara tail from s={s0:.4e}: outer "
-                f"panel limit ({_TAIL_PANEL_LIMIT}) reached with error "
-                f"{outer:.2e} above the target {tol:.2e}")
+                f"quadrature note in the Matsubara tail from s={s0:.4e}: stopped "
+                f"at {len(err)} cells (limit {_TAIL_CELL_LIMIT}) with error "
+                f"{E:.2e} above the target {tol:.2e}")
             break
-        split = err * len(a) > tol
-        mid = 0.5 * (a[split] + b[split])
-        new_a = np.concatenate((a[split], mid))
-        new_b = np.concatenate((mid, b[split]))
-        keep = ~split
-        a, b, val, err, inner = a[keep], b[keep], val[keep], err[keep], inner[keep]
-    return J, outer + float(inner.sum()), notes, counts
+        va, vb, qa, qb, _, e_v, e_q = cells[:, split]
+        in_v = e_v > e_q
+        cut_v = np.where(in_v, 0.5 * (va + vb), vb)
+        cut_q = np.where(in_v, qb, np.where(qa == 0.0, 0.125 * qb, 0.5 * (qa + qb)))
+        new = np.hstack((np.stack((va, cut_v, qa, cut_q)),
+                         np.stack((np.where(in_v, cut_v, va), vb, np.where(in_v, qa, cut_q), qb))))
+        cells = cells[:, ~split]
+    return J, E, notes, (nodes, passes, len(err))
 
 
 def _check_temperature(T: float) -> None:
@@ -596,18 +592,21 @@ def _matsubara_sum(kind: str, geom: Geometry, T: float,
     # exp(-2 d xi_n / c) falls below sum_rel; blocks then reach that n, and
     # past it grow from _BLOCK_MIN by doubling
     n_expected = math.ceil(math.log(1.0 / tol.sum_rel) * phys.C_LIGHT / (2.0 * d * xi1))
-    # a sum expected to outlast twice the tail's first pass walks short
-    # blocks, its "head", and ends in the tail once the next terms of
-    # Gregory's correction are small; with fewer than _TAIL_ROWS terms left
-    # to go, the direct walk is the cheaper finish
-    head = n_expected > 2 * _TAIL_ROWS
+    # a sum expected to outlast one head block and the _TAIL_TERMS terms
+    # the tail's first pass is worth walks blocks of _HEAD_BLOCK, its "head",
+    # and ends in the tail once the next terms of Gregory's correction are
+    # small; with fewer than _TAIL_TERMS terms left to go, it walks on.  The
+    # threshold counts nodes, not measured time (a tail node takes its own
+    # frequency stage); it is set so low because the direct walk of 94-168
+    # terms stops 2.5-4 sum_rel short of the complete sum, and the tail does not
+    head = n_expected > _HEAD_BLOCK + 1 + _TAIL_TERMS
     terms = []  # the head's terms, indexed by n
     tail_from = None
     extra = _BLOCK_MIN
     n_next = 0
     done = False
     while not done:
-        head = head and n_expected - n_next >= _TAIL_ROWS
+        head = head and n_expected - n_next >= _TAIL_TERMS
         if head:
             size = _HEAD_BLOCK + (n_next == 0)
         elif n_next == 0:
@@ -673,7 +672,7 @@ def _matsubara_sum(kind: str, geom: Geometry, T: float,
         # with s = 2 d xi / c = a n and F the summand at xi = s c / (2 d)
         m = tail_from
         a = 2.0 * d * xi1 / phys.C_LIGHT
-        J, J_err, tail_notes, (nodes, passes, panels, rows) = _tail_integral(
+        J, J_err, tail_notes, (nodes, passes, cells) = _tail_integral(
             kind, d, m * a, p1, p2, tol.quad_rel)
         warnings.extend(tail_notes)
         remainder = _gregory(terms[m:m + 8]) + coef / a * J
@@ -688,7 +687,7 @@ def _matsubara_sum(kind: str, geom: Geometry, T: float,
             truncation_error_estimate=next_order,
             warnings=tuple(warnings),
             stats=SumStats(m, counts[0], counts[1] + nodes, counts[2] + passes,
-                           counts[3] + panels, rows),
+                           counts[3] + cells, nodes),
             remainder=remainder,
         )
 

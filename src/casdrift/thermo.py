@@ -5,14 +5,14 @@ energy with Richardson extrapolation over step sizes (h, h/2), so ALL
 temperature dependence is captured at once: the explicit Matsubara grid and
 the implicit dependence of the reflection amplitudes through the material
 state (carrier density, screening, relaxation).  Analytic low-temperature
-decompositions are deliberately not implemented; their predictions (TE
-contribution vanishing like T^2 with a negative coefficient, TM linear in T
-with a positive slope, S -> 0 overall) are checked instead through entropy
-sweeps down to desk-scale temperatures (the Matsubara cap stops a little
-short of T = 0; the Nernst statement is verified as a trend and reported as
-such).  The reflection models are those bound on the geometry's plates.
-The test suite also probes the xi-derivatives of the mode function
-:func:`casdrift.lifshitz.g_mode` near xi = 0.
+decompositions are deliberately not implemented; sweeps report the Nernst
+statement as a trend, and the test suite holds bare and drift plates to
+E(T) - E(0) -> C T^3, C = -zeta(3) (eps0 - 1)^2 kB^3/(4 pi (eps0 + 1) (hbar c)^2),
+so S -> 3 |C| T^2, with E(0) from the engine's xi-integral from s = 0.  The
+2e6-term Matsubara cap refuses a sum only below about 3 mK at 1 um.  The
+test suite also probes the mode function near xi = 0 at fixed k (TE
+vanishes as xi^2 with a negative coefficient, TM rises linearly in xi).
+The reflection models are those bound on the geometry's plates.
 
 Entropy evaluations default to tighter engine tolerances than plain energy
 runs: the finite difference divides the free-energy noise by the step, and

@@ -20,7 +20,14 @@ library result by an independent route:
   2 d xi_n / c = 52 summed directly, against which the engine's stop
   rules and its xi-integral tail are held;
 * :func:`ideal_metal_energy`, :func:`ideal_metal_pressure` -- the
-  low-temperature closed forms for two ideal metals.
+  low-temperature closed forms for two ideal metals;
+* :func:`nernst_law` -- the T^3 law of E(T) - E(0) for bare or drift
+  plates.
+
+:func:`zero_temperature_energy` is not independent: it is the engine's
+own tail integral taken from s = 0, pinned by the 13-digit Ge/bare
+reference.  The law needs E(0) to about 1e-14 of itself at 0.03 K, more
+than those 13 digits give.
 
 The rest are verification helpers that only the tests call: the (xi, k)
 evaluation point :class:`Mode` the record-style helpers take, the drift
@@ -571,6 +578,33 @@ def ideal_metal_pressure(d: float, T: float) -> float:
     return (3.0 * math.pi**2 * hc / (720.0 * d**4)
             + math.pi**2 * kT**4 / (45.0 * hc**3)
             - kT * ZETA3 / (8.0 * math.pi * d**3))
+
+
+def nernst_law(spec: MaterialSpec) -> float:
+    """C [erg/(cm^2 K^3)] of E(T) - E(0) -> C T^3 for bare or drift plates.
+
+    C = -zeta(3) (eps0 - 1)^2 kB^3 / (4 pi (eps0 + 1) (hbar c)^2), independent
+    of d.  With E = kB T/(8 pi d^2) Sum'_n F(n a), the TM summand goes as
+    F(0) - g2 s^2 ln s + (analytic), g2 = (eps0 - 1)^2 / (2 (eps0 + 1)), and
+    TE enters only at s^4; the zeta-regularised Euler-Maclaurin sum, with
+    -zeta'(-2) = zeta(3)/(4 pi^2), turns the s^2 ln s point into C T^3.
+    """
+    eps0 = spec.permittivity.eps0
+    hc = phys.HBAR * phys.C_LIGHT
+    return -ZETA3 * (eps0 - 1.0) ** 2 * phys.K_B**3 / (4.0 * math.pi * (eps0 + 1.0) * hc * hc)
+
+
+def zero_temperature_energy(d: float, spec: MaterialSpec, quad_rel: float = 1e-12) -> float:
+    """E(0) = hbar c J / (32 pi^2 d^3) of two bare plates [erg/cm^2].
+
+    J is the engine's own tail integral from s = 0, the limit of
+    (1/a) Sum'_n F(n a) as a = 2 d xi_1 / c -> 0, so E(T) - E(0) takes
+    both sides from the engine; the Ge/bare 1 um reference pins this value.
+    Drift plates carry no carriers at T = 0 and have the same E(0).
+    """
+    pair = amplitude_fn(Bare(), spec, 1.0)  # bare amplitudes do not depend on T
+    J = lifshitz._tail_integral("energy", d, 0.0, pair, pair, quad_rel)[0]
+    return phys.HBAR * phys.C_LIGHT * J / (32.0 * math.pi**2 * d**3)
 
 
 def _n0_term(res) -> float:

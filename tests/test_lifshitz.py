@@ -288,9 +288,10 @@ class TestScalarQuadratureReference:
 
 class TestSumStats:
     def test_stats_repeat_and_count(self):
+        # a direct sum: 75 K stays below the tail route's n_expected of 93
         geom = Geometry.identical(D_1UM, GE, Drift())
-        a = free_energy_per_area(geom, 40.0, tolerances=TIGHT)
-        b = free_energy_per_area(geom, 40.0, tolerances=TIGHT)
+        a = free_energy_per_area(geom, 75.0, tolerances=TIGHT)
+        b = free_energy_per_area(geom, 75.0, tolerances=TIGHT)
         assert a.stats == b.stats
         assert a.value == b.value
         st = a.stats
@@ -305,11 +306,11 @@ class TestSumStats:
     # An entropy-tolerance sum takes one G-K pass: n = 0 shares the first
     # block and every term starts on the panels it converges on.  With
     # n = 0 in a block of its own and the same three starting panels for
-    # every n >= 1, these sums took 5 and 6 passes, with the nodes per kept
+    # every n >= 1, these sums took 5 passes each, with the nodes per kept
     # term and the overshoot past the stop given here; with starting panels
-    # fitted to 2 u_n alone, 2 passes.
+    # fitted to 2 u_n alone, 2 passes.  Both are direct sums.
     @pytest.mark.parametrize("T, nodes_per_term, overshoot",
-                             [(315.0, 95.0, 4), (42.0, 78.5, 2)])
+                             [(315.0, 95.0, 4), (75.0, 80.5, 3)])
     def test_entropy_sums_take_few_passes(self, T, nodes_per_term, overshoot):
         st = free_energy_per_area(Geometry.identical(D_1UM, GE, Drift()), T,
                                   tolerances=ENTROPY_TOL).stats
@@ -330,9 +331,10 @@ class TestSumStats:
     def test_nernst_sweep_takes_one_pass_per_block(self):
         # the Nernst sweep of Ge/Drift at 1 um: four sums per entropy point,
         # at T +- h and T +- h/2 with h = T/20.  A direct sum is one block
-        # and one pass, a tail sum a head block and a tail block of one pass
-        # each.  With starting panels fitted to 2 u_n alone, the sweep took
-        # 58 passes in 32 blocks, for the same 175,644 nodes.
+        # and one pass, a tail sum a head block and a tail pass.  With
+        # starting panels fitted to 2 u_n alone, the sweep took 58 passes in
+        # 32 blocks for 175,644 nodes; with the tail as nested k-integrals,
+        # and the 40 K sums direct, 32 passes for the same 175,644 nodes.
         geom = Geometry.identical(D_1UM, GE, Drift())
         nodes = 0
         for T in (300.0, 150.0, 75.0, 40.0, 20.0, 10.0):
@@ -340,9 +342,9 @@ class TestSumStats:
             for t in (T + h, T - h, T + 0.5 * h, T - 0.5 * h):
                 st = free_energy_per_area(geom, t, tolerances=ENTROPY_TOL).stats
                 assert st.passes == (2 if st.tail_rows else 1), (t, st)
-                assert (st.tail_rows > 0) == (T <= 20.0), (t, st)
+                assert (st.tail_rows > 0) == (T <= 40.0), (t, st)
                 nodes += st.nodes
-        assert abs(nodes - 175_644) <= 0.01 * 175_644
+        assert abs(nodes - 135_282) <= 0.01 * 135_282
 
 
 class TestMatsubaraTail:
@@ -403,11 +405,62 @@ class TestMatsubaraTail:
                 diff = abs(res.value - complete)
                 assert diff <= res.truncation_error_estimate + res.quadrature_error_estimate, what
 
+    # Sums with n_expected 126-168 at the entropy tolerances: walked
+    # directly, they stopped 2.5-4 sum_rel |value| from the complete sum
+    # (Ge/Drift 40 K +2.47/-2.54, 30 K +3.51/-3.97, Si/Nonlocal 40 K
+    # +2.61/-2.72, energy/pressure); head plus tail ends within 0.28.
+    @pytest.mark.parametrize("name, spec, model, T", [
+        ("Ge/Drift", GE, Drift(), 40.0),
+        ("Ge/Drift", GE, Drift(), 30.0),
+        ("Si/Nonlocal", SI, Nonlocal(), 40.0)])
+    def test_tail_route_meets_the_complete_sum(self, name, spec, model, T):
+        geom = Geometry.identical(D_1UM, spec, model)
+        for kind, op in (("energy", free_energy_per_area), ("pressure", pressure)):
+            complete = complete_matsubara_sum(kind, geom, T)
+            res = op(geom, T, tolerances=ENTROPY_TOL)
+            what = (name, kind, T, (res.value - complete) / abs(res.value))
+            assert res.stats.tail_rows > 0, what
+            assert abs(res.value - complete) <= ENTROPY_TOL.sum_rel * abs(res.value), what
+
+    # M and the truncation estimate of the head's term-by-term stop, bit for bit
+    @pytest.mark.parametrize("spec, model, d, T, op, m, trunc", [
+        (GE, Drift(), D_1UM, 20.0, free_energy_per_area, 36, "0x1.4099f24937fc0p-64"),
+        (GE, Drift(), D_1UM, 20.0, pressure, 31, "0x1.277ae83e816d3p-49"),
+        (GE, Drift(), D_1UM, 1.0, free_energy_per_area, 15, "0x1.8b21c842ec634p-68"),
+        (GE, Drift(), D_1UM, 1.0, pressure, 11, "0x1.b859bfa39f47ap-54"),
+        (SI, Nonlocal(), 0.1e-4, 3.0, free_energy_per_area, 10, "0x1.0a4f6ef5bafeap-60"),
+        (GE, Conductivity(2.09e10), D_1UM, 0.1, pressure, 20, "0x1.aa19caca33e0dp-57")])
+    def test_head_stop_keeps_its_bits(self, spec, model, d, T, op, m, trunc):
+        res = op(Geometry.identical(d, spec, model), T, tolerances=ENTROPY_TOL)
+        assert res.n_truncated_at == m
+        assert res.truncation_error_estimate == float.fromhex(trunc)
+
+    @pytest.mark.parametrize("T, s_bad", [(300.0, 3.0), (10.0, 3.0), (10.0, 40.0), (0.3, 0.05)])
+    def test_nan_amplitudes_are_refused_at_their_node(self, monkeypatch, T, s_bad):
+        # nan past s = 2 d xi / c = s_bad, met by the direct walk (300 K) or
+        # by the tail (10 and 0.3 K); neither adaptive loop may spin on it
+        bad_xis = []
+
+        def late_nan(model, spec, temp):
+            def pair(xi, k):
+                bad = 2.0 * D_1UM * np.asarray(xi) / phys.C_LIGHT >= s_bad
+                bad_xis.extend(np.broadcast_to(xi, np.shape(bad))[bad].tolist())
+                return np.where(bad, np.nan, 0.5) + 0.0 * k, 0.0 * k
+            return pair
+        monkeypatch.setattr(lifshitz, "amplitude_fn", late_nan)
+        for op in (free_energy_per_area, pressure):
+            bad_xis.clear()
+            with pytest.raises(SummationError, match="non-finite") as info:
+                op(Geometry.identical(D_1UM, GE, Drift()), T, tolerances=ENTROPY_TOL)
+            assert info.value.diagnostics["xi"] in bad_xis
+
     def test_tail_bookkeeping(self):
         res = free_energy_per_area(Geometry.identical(D_1UM, GE, Drift()), 10.0,
                                    tolerances=ENTROPY_TOL)
         st = res.stats
-        assert st.tail_rows % 21 == 0 and st.tail_rows > 0
+        # tail_rows counts the tail's nodes, K21 x K21 cells; the rest is the head's
+        assert st.tail_rows % 441 == 0 and st.tail_rows > 0
+        assert (st.nodes - st.tail_rows) % 21 == 0 and st.nodes > st.tail_rows
         assert st.terms_kept == len(res.per_n_terms) == res.n_truncated_at + 1
         assert st.terms_computed >= st.terms_kept + 9  # f_M..f_{M+9}
         assert res.per_n_terms[-1][0] == res.n_truncated_at >= 7
@@ -417,28 +470,28 @@ class TestMatsubaraTail:
         assert again == res
 
     def test_tail_rows_leave_notes(self, monkeypatch):
-        # inner terms at their panel limit: some at tail nodes, which lie
-        # between the Matsubara frequencies.  Their starting panels converge
-        # within four panels, so [0, 5] starts unhalved as well
-        monkeypatch.setattr(lifshitz, "_PANEL_LIMIT", 4)
-        monkeypatch.setattr(lifshitz, "_HALVINGS", 0)
+        # at 1 K the tail's first pass, [0, 3] halved toward s_M, does not
+        # converge; held to the cells of that pass, it stops with a note
+        monkeypatch.setattr(lifshitz, "_TAIL_CELL_LIMIT", 4)
         res = free_energy_per_area(Geometry.identical(D_1UM, GE, Drift()), 1.0,
                                    tolerances=ENTROPY_TOL)
-        assert res.stats.tail_rows > 0
-        ns = [float(w.split("xi=")[1].split()[0]) / phys.matsubara_xi(1, 1.0)
-              for w in res.warnings if w.startswith("quadrature note at xi=")]
-        assert any(abs(n - round(n)) > 1e-3 for n in ns)
+        st = res.stats
+        notes = [w for w in res.warnings
+                 if w.startswith("quadrature note in the Matsubara tail from s=")]
+        assert st.tail_rows > 4 * 441 and len(notes) == 1, (st, res.warnings)
+        assert f"stopped at {st.tail_rows // 441} cells (limit 4)" in notes[0]
+        assert not any(w.startswith("quadrature note at xi=") for w in res.warnings)
 
     def test_outer_panel_limit_leaves_a_note(self, monkeypatch):
-        # outer panels over [s_M, s_M + 45] too wide to converge, that may
-        # not split
-        monkeypatch.setattr(lifshitz, "_TAIL_EDGES", np.array([0.0, 45.0]))
-        monkeypatch.setattr(lifshitz, "_TAIL_PANEL_LIMIT", 1)
+        # cells over [s_M, s_M + 45] x [0, 1], [0, 45] halved twice toward
+        # s_M = 1.43, too wide to converge, that may not split
+        monkeypatch.setattr(lifshitz, "_TAIL_PANELS", (0.0, 45.0))
+        monkeypatch.setattr(lifshitz, "_TAIL_CELL_LIMIT", 1)
         res = free_energy_per_area(Geometry.identical(D_1UM, GE, Drift()), 10.0,
                                    tolerances=ENTROPY_TOL)
-        assert res.stats.tail_rows < lifshitz._TAIL_ROWS
+        assert res.stats.tail_rows == 3 * 441 and res.stats.passes == 2
         assert any(w.startswith("quadrature note in the Matsubara tail from s=")
-                   and "outer panel limit (1)" in w for w in res.warnings)
+                   and "stopped at 3 cells (limit 1)" in w for w in res.warnings)
 
     def test_non_finite_tail_integral_is_refused(self, monkeypatch):
         # nan past s = 2 d xi / c = 3: the head stops short of it at 10 K
