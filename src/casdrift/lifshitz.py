@@ -82,6 +82,7 @@ exactly -kB T zeta(3)/(16 pi d^2) (energy) and kB T zeta(3)/(8 pi d^3)
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -123,9 +124,6 @@ _TAIL_CELL_LIMIT = 256    # K21 x K21 cells of the tail
 _GREGORY = (1.0 / 2.0, -1.0 / 12.0, 1.0 / 24.0, -19.0 / 720.0, 3.0 / 160.0,
             -863.0 / 60480.0, 275.0 / 24192.0, -33953.0 / 3628800.0,
             8183.0 / 1036800.0, -3250433.0 / 479001600.0)
-# Delta^k f_M = Sum_j (-1)^(k-j) C(k, j) f_{M+j} for k = 8 and 9
-_DELTA8 = tuple((-1) ** (8 - j) * math.comb(8, j) for j in range(9)) + (0,)
-_DELTA9 = tuple((-1) ** (9 - j) * math.comb(9, j) for j in range(10))
 
 
 @dataclass(frozen=True)
@@ -378,9 +376,10 @@ def _block_integrals(kind: str, d: float, xis, pair1, pair2, quad_rel: float):
     block: each pass evaluates every new panel, then splits the panels of
     each unconverged component whose error exceeds that component's
     tolerance shared over its term's panels.  A component has converged
-    once its summed error is at most quad_rel |I|.  A term stops refining
-    at _PANEL_LIMIT panels and gets a note for every component still above
-    its tolerance.
+    once its summed error is at most quad_rel |I|; a block whose components
+    all converge returns at once (one row: 110 us, 138 us with the split
+    bookkeeping, one Xeon core).  A term stops refining at _PANEL_LIMIT
+    panels and gets a note for every component still above its tolerance.
 
     xis holds positive frequencies, optionally led by 0.0, the static n = 0
     term.  The static row's new panels lead each pass's arrays, so a pass
@@ -395,10 +394,7 @@ def _block_integrals(kind: str, d: float, xis, pair1, pair2, quad_rel: float):
     n_rows = len(xis)
     u_rows = 2.0 * d * xis / phys.C_LIGHT
     n_static = int(xis[0] == 0.0)
-    new_row, new_a, new_b = _start_panels(u_rows, n_static)
-    row = np.empty(0, dtype=int)
-    a = b = np.empty(0)
-    val = err = np.empty((2, 0))
+    row, a, b = new_row, new_a, new_b = _start_panels(u_rows, n_static)
     nodes = passes = 0
     while True:
         half = 0.5 * (new_b - new_a)
@@ -412,17 +408,21 @@ def _block_integrals(kind: str, d: float, xis, pair1, pair2, quad_rel: float):
             r = new_row[lead:, None]
             _integrand(kind, d, xis[r], u_rows[r], t[lead:], pair1, pair2, f[:, lead:])
         v, e = _kronrod(f, half)
-        nodes += t.size
-        passes += 1
-        row = np.concatenate((row, new_row))
-        a, b = np.concatenate((a, new_a)), np.concatenate((b, new_b))
-        val, err = np.concatenate((val, v), axis=1), np.concatenate((err, e), axis=1)
+        nodes, passes = nodes + t.size, passes + 1
+        if passes > 1:  # a refining pass: the kept panels lead
+            row = np.concatenate((row, new_row))
+            a, b = np.concatenate((a, new_a)), np.concatenate((b, new_b))
+            v, e = np.concatenate((val, v), axis=1), np.concatenate((err, e), axis=1)
+        val, err = v, e
 
         I = np.array([np.bincount(row, val[c], n_rows) for c in (0, 1)])
         E = np.array([np.bincount(row, err[c], n_rows) for c in (0, 1)])
         tol = np.maximum(quad_rel * np.abs(I), 1.0e-300)
+        above = E > tol
+        if not above.any():
+            return I, E, {}, (nodes, passes, len(row))
         n_panels = np.bincount(row, minlength=n_rows)
-        open_ = (E > tol) & (n_panels < _PANEL_LIMIT)
+        open_ = above & (n_panels < _PANEL_LIMIT)
         split = (open_[:, row] & (err * n_panels[row] > tol[:, row])).any(axis=0)
         if not split.any():
             break
@@ -438,7 +438,7 @@ def _block_integrals(kind: str, d: float, xis, pair1, pair2, quad_rel: float):
         val, err = val[:, keep], err[:, keep]
 
     notes = {}
-    for i, c in np.argwhere((E > tol).T).tolist():
+    for i, c in np.argwhere(above.T).tolist():
         notes.setdefault(i, []).append(
             f"quadrature note at xi={xis[i]:.4e} ({('TM', 'TE')[c]}): panel "
             f"limit ({_PANEL_LIMIT}) reached with error {E[c, i]:.2e} above "
@@ -476,14 +476,33 @@ def _gregory_next(f) -> float:
     convergence, and the omitted terms add up to as much as 1.63 times
     their size (tail sums of Ge/Drift, Si/Nonlocal and Ge/Conductivity at
     0.1 and 1 um and 3-18 K, against complete sums at quad_rel 1e-12).  The
-    differences are binomial sums: 2.9 us a call against 14.5 us for a
-    difference table on one Xeon core, and the head checks every n.
+    differences are binomial sums Sum_j (-1)^(k-j) C(k, j) f_{M+j} in
+    j-order, written out: 0.5 us a call against 1.5 us for a loop over the
+    C(k, j) on one Xeon core, and the head checks every n.
     """
-    d8 = d9 = 0.0
-    for b8, b9, x in zip(_DELTA8, _DELTA9, f):
-        d8 += b8 * x
-        d9 += b9 * x
+    f0, f1, f2, f3, f4, f5, f6, f7, f8, f9 = f
+    d8 = (f0 - 8.0 * f1 + 28.0 * f2 - 56.0 * f3 + 70.0 * f4 - 56.0 * f5 + 28.0 * f6
+          - 8.0 * f7 + f8 + 0.0 * f9)
+    d9 = (-f0 + 9.0 * f1 - 36.0 * f2 + 84.0 * f3 - 126.0 * f4 + 126.0 * f5 - 84.0 * f6
+          + 36.0 * f7 - 9.0 * f8 + f9)
     return 2.0 * (abs(_GREGORY[8] * d8) + abs(_GREGORY[9] * d9))
+
+
+def _tail_grid(new):
+    """(new, half-widths, v, v q, v (1 - q)) at the K21 x K21 nodes of cells new."""
+    mid, half = 0.5 * (new[::2] + new[1::2]), 0.5 * (new[1::2] - new[::2])
+    v = mid[0, :, None, None] + half[0, :, None, None] * _NODES[:, None]
+    q = mid[1, :, None, None] + half[1, :, None, None] * _NODES
+    return new, half, v, v * q, v * (1.0 - q)
+
+
+@functools.lru_cache(maxsize=64)  # the tail's first grid, by its v-edges
+def _tail_first_grid(edges: tuple):
+    v = np.array(edges)
+    grid = _tail_grid(np.stack((v[:-1], v[1:], 0.0 * v[1:], 1.0 + 0.0 * v[1:])))
+    for x in grid:
+        x.flags.writeable = False
+    return grid
 
 
 def _tail_integral(kind: str, d: float, s0: float, pair1, pair2, quad_rel: float):
@@ -503,34 +522,37 @@ def _tail_integral(kind: str, d: float, s0: float, pair1, pair2, quad_rel: float
     sigma0/eps0) the integrand varies on the scale s0/v there (188k nodes
     over 20 Conductivity tails, 331k halved).  Non-finite nodes are
     refused; a rule that cannot split or has _TAIL_CELL_LIMIT cells stops
-    with a note.  Returns (J, its error, notes, (nodes, passes, cells)).
+    with a note.  The first pass's nodes depend on s0 only through the
+    halvings and are cached per layout, and the cell table is built only if
+    that pass fails: such a pass (1,764 nodes) costs 180 us, 225 us building
+    both (one Xeon core).  Returns (J, its error, notes, (nodes, passes, cells)).
     """
     first = _TAIL_PANELS[1]
     halvings = max(math.ceil(math.log2(first / (8.0 * s0))), 0) if s0 > 0.0 else 0
-    v = np.concatenate(([0.0], first * 0.5 ** np.arange(halvings, 0, -1), _TAIL_PANELS[1:]))
-    new = np.stack((v[:-1], v[1:], 0.0 * v[1:], 1.0 + 0.0 * v[1:]))
-    cells = np.empty((7, 0))  # v- and q-bounds, value, v-error, q-error
+    edges = (0.0,) + tuple(first * 0.5 ** h for h in range(halvings, 0, -1)) + _TAIL_PANELS[1:]
+    new, half, v, vq, t = _tail_first_grid(edges)
+    cells = None  # v- and q-bounds, value, v-error, q-error, once a pass fails
     notes, nodes, passes = [], 0, 0
     while True:
-        mid, half = 0.5 * (new[::2] + new[1::2]), 0.5 * (new[1::2] - new[::2])
-        v = mid[0, :, None, None] + half[0, :, None, None] * _NODES[:, None]
-        q = mid[1, :, None, None] + half[1, :, None, None] * _NODES
-        s = s0 + v * q
+        s = s0 + vq
         xi = s * (phys.C_LIGHT / (2.0 * d))
         f = np.empty((2,) + s.shape)
-        _integrand(kind, d, xi, s, v * (1.0 - q), pair1, pair2, f)
+        _integrand(kind, d, xi, s, t, pair1, pair2, f)
         if not np.isfinite(f).all():
             _refuse_non_finite(kind, xi.ravel(), f.reshape(2, -1))
         inner, inner_err = _kronrod(v * (f[0] + f[1]), half[1, :, None])
         outer, outer_err = _kronrod(inner, half[0])
+        q_err = half[0] * (inner_err @ _W_KRONROD)
         nodes, passes = nodes + f[0].size, passes + 1
-        cells = np.concatenate((cells, np.vstack(
-            (new, outer, outer_err, half[0] * (inner_err @ _W_KRONROD)))), axis=1)
-        err = cells[5] + cells[6]
-        J, E = float(cells[4].sum()), float(err.sum())
+        if cells is not None:
+            cells = np.concatenate((cells, np.vstack((new, outer, outer_err, q_err))), axis=1)
+            outer, outer_err, q_err = cells[4:]
+        err = outer_err + q_err
+        J, E = float(outer.sum()), float(err.sum())
         tol = quad_rel * abs(J)
         if E <= tol:
             break
+        cells = np.vstack((new, outer, outer_err, q_err)) if cells is None else cells
         split = err * len(err) > tol
         if len(err) >= _TAIL_CELL_LIMIT or not split.any():
             notes.append(
@@ -542,8 +564,9 @@ def _tail_integral(kind: str, d: float, s0: float, pair1, pair2, quad_rel: float
         in_v = e_v > e_q
         cut_v = np.where(in_v, 0.5 * (va + vb), vb)
         cut_q = np.where(in_v, qb, np.where(qa == 0.0, 0.125 * qb, 0.5 * (qa + qb)))
-        new = np.hstack((np.stack((va, cut_v, qa, cut_q)),
-                         np.stack((np.where(in_v, cut_v, va), vb, np.where(in_v, qa, cut_q), qb))))
+        new, half, v, vq, t = _tail_grid(np.hstack((
+            np.stack((va, cut_v, qa, cut_q)),
+            np.stack((np.where(in_v, cut_v, va), vb, np.where(in_v, qa, cut_q), qb)))))
         cells = cells[:, ~split]
     return J, E, notes, (nodes, passes, len(err))
 
@@ -585,7 +608,6 @@ def _matsubara_sum(kind: str, geom: Geometry, T: float,
     per_n = []
     quad_err = 0.0
     small_streak = 0
-    recent = []  # last |term| values for the geometric tail fit
     acc = 0.0
     counts = [0, 0, 0, 0]  # terms computed, nodes, passes, panels
     # the first block runs from n = 0 to _BLOCK_MIN terms past the n where
@@ -596,9 +618,9 @@ def _matsubara_sum(kind: str, geom: Geometry, T: float,
     # the tail's first pass is worth walks blocks of _HEAD_BLOCK, its "head",
     # and ends in the tail once the next terms of Gregory's correction are
     # small; with fewer than _TAIL_TERMS terms left to go, it walks on.  The
-    # threshold counts nodes, not measured time (a tail node takes its own
-    # frequency stage); it is set so low because the direct walk of 94-168
-    # terms stops 2.5-4 sum_rel short of the complete sum, and the tail does not
+    # threshold counts nodes; it is set so low because the direct walk of 94-168
+    # terms stops 2.5-4 sum_rel short of the complete sum, and the tail does not.
+    # At 40 K in the nernst CLI, head and tail take 0.82 of a walk's time (one Xeon core)
     head = n_expected > _HEAD_BLOCK + 1 + _TAIL_TERMS
     terms = []  # the head's terms, indexed by n
     tail_from = None
@@ -620,23 +642,21 @@ def _matsubara_sum(kind: str, geom: Geometry, T: float,
         vals, errs, notes, work = _block_integrals(kind, d, xis, p1, p2, tol.quad_rel)
         counts = [c + w for c, w in zip(counts, (len(ns),) + work)]
         i_tm, i_te = vals.tolist()
-        abserr = (errs[0] + errs[1]).tolist()
+        wc = np.where(ns == 0.0, 0.5 * coef, coef)  # the n = 0 half-weight
+        tm_parts, te_parts = (wc * vals).tolist()
+        term_errs = (wc * (errs[0] + errs[1])).tolist()
         for i, n in enumerate(range(n_next, n_next + len(ns))):
             if not math.isfinite(i_tm[i] + i_te[i]):
                 _refuse_non_finite(kind, xis[i:i + 1], vals[:, i:i + 1])
-            weight = 0.5 if n == 0 else 1.0
-            tm_part = weight * coef * i_tm[i]
-            te_part = weight * coef * i_te[i]
+            tm_part, te_part = tm_parts[i], te_parts[i]
             per_n.append((n, te_part, tm_part))
-            quad_err += weight * coef * abserr[i]
-            warnings.extend(notes.get(i, ()))
+            quad_err += term_errs[i]
+            if notes:
+                warnings.extend(notes.get(i, ()))
 
             term = te_part + tm_part
             acc += term
             if n >= 1:
-                recent.append(abs(term))
-                if len(recent) > 3:
-                    recent.pop(0)
                 if abs(term) < tol.sum_rel * abs(acc) or (term == 0.0 and acc == 0.0):
                     small_streak += 1
                 else:
@@ -691,10 +711,10 @@ def _matsubara_sum(kind: str, geom: Geometry, T: float,
             remainder=remainder,
         )
 
-    # geometric tail estimate from the last recorded terms, with the measured
-    # ratio: at low T it approaches 1 and the tail grows as 1/(1 - rho)
+    # geometric tail estimate from the stop's three small terms (n >= 1), with
+    # the measured ratio: at low T it approaches 1 and the tail grows as 1/(1 - rho)
     tail = 0.0
-    nz = [t for t in recent if t > 0.0]
+    nz = [t for t in (abs(te + tm) for _, te, tm in per_n[-3:]) if t > 0.0]
     if len(nz) >= 2:
         rho = nz[-1] / nz[-2]
         tail = math.inf if rho >= 1.0 else nz[-1] * rho / (1.0 - rho)

@@ -19,6 +19,9 @@ library result by an independent route:
 * :func:`complete_matsubara_sum` -- every Matsubara term out to
   2 d xi_n / c = 52 summed directly, against which the engine's stop
   rules and its xi-integral tail are held;
+* :func:`gregory_next_loop` -- the head stop's binomial differences as a
+  loop over ``math.comb`` coefficients, against which the engine's
+  written-out ``_gregory_next`` is held bit for bit;
 * :func:`ideal_metal_energy`, :func:`ideal_metal_pressure` -- the
   low-temperature closed forms for two ideal metals;
 * :func:`nernst_law` -- the T^3 law of E(T) - E(0) for bare or drift
@@ -539,6 +542,25 @@ def complete_matsubara_sum(kind: str, geom: Geometry, T: float,
         w = np.where(ns == 0.0, 0.5, 1.0) * coef
         parts.extend((w * I[0]).tolist() + (w * I[1]).tolist())
     return math.fsum(parts)
+
+
+# Delta^k f_M = Sum_j (-1)^(k-j) C(k, j) f_{M+j} for k = 8 and 9
+DELTA8 = tuple((-1) ** (8 - j) * math.comb(8, j) for j in range(9)) + (0,)
+DELTA9 = tuple((-1) ** (9 - j) * math.comb(9, j) for j in range(10))
+
+
+def gregory_next_loop(f) -> float:
+    """2 (|G_8 Delta^8 f_M| + |G_9 Delta^9 f_M|) from f = f_M..f_{M+9}.
+
+    The binomial sums accumulated term by term from 0.0, with the
+    coefficients built from ``math.comb``: the engine's ``_gregory_next``
+    writes the same sums out by hand.
+    """
+    d8 = d9 = 0.0
+    for b8, b9, x in zip(DELTA8, DELTA9, f):
+        d8 += b8 * x
+        d9 += b9 * x
+    return 2.0 * (abs(lifshitz._GREGORY[8] * d8) + abs(lifshitz._GREGORY[9] * d9))
 
 
 # --- ideal metals and the n = 0 swaps ----------------------------------------------

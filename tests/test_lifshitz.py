@@ -4,7 +4,7 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from casdrift import lifshitz, phys
 from casdrift.config import parse_model
@@ -12,6 +12,7 @@ from casdrift.errors import DomainError, NormalizationError, SummationError
 from casdrift.lifshitz import (
     Geometry,
     Plate,
+    SumStats,
     Tolerances,
     free_energy_per_area,
     g_mode,
@@ -27,6 +28,7 @@ from conftest import assert_close
 from oracles import (
     ZETA3,
     complete_matsubara_sum,
+    gregory_next_loop,
     ideal_metal_energy,
     ideal_metal_n0_tm_energy,
     ideal_metal_n0_tm_pressure,
@@ -347,6 +349,64 @@ class TestSumStats:
         assert abs(nodes - 135_282) <= 0.01 * 135_282
 
 
+# The engine's figures, bit for bit: float.hex of the value, the quadrature
+# and truncation estimates and the remainder, then every SumStats field.
+# They cover a one-pass direct sum (315 K), a direct sum refined in a second
+# pass (Si 77 K), tails that converge at once (10.5 K, the mixed plates) and
+# one refined in q (Conductivity at 0.1 um, 1 K: 19 of its 22 cells).  The
+# panel-limit note case is pinned in test_panel_limit_leaves_a_note.
+FROZEN_SUMS = [
+    ("ge-drift-315K-energy", Geometry.identical(D_1UM, GE, Drift()), 315.0,
+     free_energy_per_area, ENTROPY_TOL,
+     ("-0x1.7e94824498b89p-23", "0x1.0859a237b6427p-58", "0x1.7632c4147ca9ap-71", "0x0.0p+0"),
+     (21, 25, 1932, 1, 92, 0)),
+    ("ge-drift-315K-pressure", Geometry.identical(D_1UM, GE, Drift()), 315.0,
+     pressure, ENTROPY_TOL,
+     ("0x1.4269cfe2a82ddp-8", "0x1.30787b8330303p-47", "0x1.2d3bd95ac3b21p-57", "0x0.0p+0"),
+     (23, 25, 1932, 1, 92, 0)),
+    ("ge-drift-10.5K-energy", Geometry.identical(D_1UM, GE, Drift()), 10.5,
+     free_energy_per_area, ENTROPY_TOL,
+     ("-0x1.46a774521813ep-23", "0x1.405b6d80c60dcp-65", "0x1.a5920351df4bdp-65",
+      "-0x1.ddf40e2b6c6d7p-25"),
+     (27, 65, 8799, 2, 339, 1764)),
+    ("ge-drift-10.5K-pressure", Geometry.identical(D_1UM, GE, Drift()), 10.5,
+     pressure, ENTROPY_TOL,
+     ("0x1.2abdb352575c0p-8", "0x1.05a465b79e81ap-46", "0x1.3ae17510fa3afp-50",
+      "0x1.837e4aeff8a45p-9"),
+     (18, 65, 8799, 2, 339, 1764)),
+    ("ge-cond-0.1um-1K-energy", Geometry.identical(0.1e-4, GE, Conductivity(2.09e10)), 1.0,
+     free_energy_per_area, ENTROPY_TOL,
+     ("-0x1.1ee5aa9a88cc7p-13", "0x1.1136ffce86aaep-48", "0x1.19a1f1c1e0836p-61",
+      "-0x1.1d4c089775ab8p-13"),
+     (16, 65, 31353, 7, 790, 14994)),
+    ("si-nonlocal-77K-pressure", Geometry.identical(D_1UM, SI, Nonlocal()), 77.0,
+     pressure, Tolerances(),
+     ("0x1.03289725e5a1ap-8", "0x1.6d2a1630ceffdp-46", "0x1.339a95dda1cabp-42", "0x0.0p+0"),
+     (67, 72, 5124, 2, 244, 0)),
+    ("mixed-0.1um-300K-pressure", Geometry(0.1e-4, Plate(GE, Drift()), Plate(SI, Nonlocal())),
+     300.0, pressure, Tolerances(),
+     ("0x1.273f951efb2bdp+5", "0x1.3503a43b3651ep-33", "0x1.3e4bfd20566e0p-30",
+      "0x1.2243d07860225p+2"),
+     (20, 65, 7035, 2, 255, 1764)),
+    ("ge-bare-10um-300K-energy", Geometry.identical(10e-4, GE, Bare()), 300.0,
+     free_energy_per_area, Tolerances(),
+     ("-0x1.90fe01239b24dp-31", "0x1.42404374727dbp-77", "0x1.05d84c53ba4e0p-142", "0x0.0p+0"),
+     (5, 11, 1008, 1, 48, 0)),
+]
+
+
+class TestFrozenBits:
+    @pytest.mark.parametrize("geom, T, op, tol, hexes, stats",
+                             [case[1:] for case in FROZEN_SUMS],
+                             ids=[case[0] for case in FROZEN_SUMS])
+    def test_sum_keeps_its_bits(self, geom, T, op, tol, hexes, stats):
+        res = op(geom, T, tolerances=tol)
+        assert (res.value.hex(), res.quadrature_error_estimate.hex(),
+                res.truncation_error_estimate.hex(), res.remainder.hex()) == hexes
+        assert res.stats == SumStats(*stats)
+        assert res.warnings == ()
+
+
 class TestMatsubaraTail:
     """Long sums: a head summed directly, the rest as an xi-integral."""
 
@@ -435,6 +495,27 @@ class TestMatsubaraTail:
         assert res.n_truncated_at == m
         assert res.truncation_error_estimate == float.fromhex(trunc)
 
+    # the head stop's written-out binomial sums against the loop they
+    # replaced, on finite windows: signed zeros, subnormals, overflow, and
+    # terms of one size, where the order of the additions shows in the bits
+    EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e308, -1e308)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from(EDGE_FLOATS),
+                           st.floats(-1e-300, 1e-300)),
+                 min_size=10, max_size=10),
+        st.lists(st.floats(0.5, 2.0), min_size=10, max_size=10),
+        st.lists(st.floats(-2.0, 2.0), min_size=10, max_size=10)))
+    @example([-0.0] * 10)
+    @example([5e-324, -5e-324] * 5)
+    @example([1e308, -1e308] * 5)
+    @example([0.9 ** n for n in range(10)])
+    @example([1.0] * 9 + [math.inf])  # Delta^8 carries 0 f_{M+9}: a nan, as in the loop
+    def test_gregory_next_matches_its_loop(self, f):
+        assert lifshitz._gregory_next(f).hex() == gregory_next_loop(f).hex()
+
     @pytest.mark.parametrize("T, s_bad", [(300.0, 3.0), (10.0, 3.0), (10.0, 40.0), (0.3, 0.05)])
     def test_nan_amplitudes_are_refused_at_their_node(self, monkeypatch, T, s_bad):
         # nan past s = 2 d xi / c = s_bad, met by the direct walk (300 K) or
@@ -516,9 +597,16 @@ class TestEngineGuards:
         monkeypatch.setattr(lifshitz, "_STATIC_EDGES", np.delete(lifshitz._STATIC_EDGES, 1))
         res = free_energy_per_area(Geometry.identical(D_1UM, GE, Drift()), 300.0,
                                    tolerances=TIGHT)
-        assert any(w.startswith("quadrature note at xi=0.0000e+00 (TM): panel limit")
-                   for w in res.warnings)
+        assert res.warnings == (
+            "quadrature note at xi=0.0000e+00 (TM): panel limit (4) reached with error "
+            "1.70e-10 above the target 1.05e-10",)
         assert_close(res.value, GE_E_1UM_300K, 1e-9)
+        # and its figures bit for bit, as in TestFrozenBits
+        assert (res.value.hex(), res.quadrature_error_estimate.hex(),
+                res.truncation_error_estimate.hex(), res.remainder.hex()) == (
+            "-0x1.757859e123faep-23", "0x1.0464767b6c8efp-56", "0x1.8a0293b36c8ebp-71",
+            "0x0.0p+0")
+        assert res.stats == SumStats(22, 26, 1974, 1, 94, 0)
 
     @pytest.mark.parametrize("T", [315.0, 10.5])
     def test_shortened_window_moves_no_sum(self, monkeypatch, T):
