@@ -20,22 +20,25 @@ term onto an exponentially damped integrand on [u_n, oo), u_n = 2 d xi_n/c:
     P-term(n, p) = w_n kB T/(8 pi d^3) Int u^2 Q/(1 - Q) du
 
 A second shift t = u - u_n starts every term at t = 0, and
-k = sqrt(t (t + 2 u_n)) / (2 d) has no cancellation.  A term n >= 1 runs
-over t in [0, 45]: exp(-45) ~ 2.9e-20, and its energy or pressure
-integrand past t = 45 adds less than 1e-16 of the term.  Its starting
-panels halve [0, 5] toward t = 0 down to about u_n, the scale its
-integrand varies on there, and a term with [0, 5] halved splits [5, 20]
-at 12.5.  The static n = 0 term runs over [0, 60], on panels graded
-toward t = 0 down to 60/2^17, where a screened or perfect reflector's TM
-integrand has a log singularity.  These are the panels the terms
-converge on, so a block usually takes one pass.  A block of terms shares
-one adaptive Gauss-Kronrod (G10/K21, QUADPACK's rule and error estimate)
-bisection.  Each pass evaluates every new panel of the block in one
-vectorized integrand call, or two when the static term has new panels,
-and each call yields TM and TE together from one amplitude call per
-plate.  Each (term, polarization) component keeps its own error estimate
-and is refined until that estimate is at most ``quad_rel`` times its
-value.
+k = sqrt(t (t + 2 u_n)) / (2 d) has no cancellation.  Each term is
+integrated in w = sqrt(t), dt = 2 w dw: the amplitudes' branch points sit
+about u_n from t = 0 (the zeros of k^2 + X = (t^2 + 2 u_n t + eps u_n^2)
+/(4 d^2), for one), so about sqrt(u_n) from w = 0, and panels reach them
+in about half the halvings they take in t.  A term n >= 1 runs over t in
+[0, 45]: exp(-45) ~ 2.9e-20, and its energy or pressure integrand past
+t = 45 adds less than 1e-16 of the term.  Its starting panels halve
+[0, 2] toward w = 0 down to about 1.5 sqrt(u_n), then take [2, 3.5] and
+[3.5, sqrt(45)].  The static n = 0 term runs over t in [0, 60], on eight
+panels graded toward w = 0 down to sqrt(60)/2^7, where a screened or
+perfect reflector's TM integrand has a log point, milder in w as
+2 w ln w.  These are the panels the terms converge on, so a block
+usually takes one pass.  A block of terms shares one adaptive
+Gauss-Kronrod (G10/K21, QUADPACK's rule and error estimate) bisection.
+Each pass evaluates every new panel of the block in one vectorized
+integrand call, or two when the static term has new panels, and each
+call yields TM and TE together from one amplitude call per plate.  Each
+(term, polarization) component keeps its own error estimate and is
+refined until that estimate is at most ``quad_rel`` times its value.
 
 The first block runs from n = 0 to 8 terms past the n where
 exp(-2 d xi_n / c) falls below ``sum_rel``, with at most 256 terms
@@ -53,9 +56,12 @@ A long sum, one expected to outlast a head block of 64 terms and the 28
 terms the tail's first pass is worth, ends in an xi-integral instead.
 Past its first few dozen terms the summand f(n) = F(a n), a = 2 d xi_1 / c,
 is a smooth function of s = 2 d xi / c, damped as exp(-s).  Such a sum
-walks blocks of 64 terms (the first with n = 0 as well), its head, and at
-each n = M >= 8 forms Gregory's end correction (Dahlquist and Bjorck,
-Numerical Methods in Scientific Computing I, SIAM 2008)::
+walks its head in blocks: the first holds n = 0 and
+min(64, max(M_s, 30) + 10) terms, M_s the n where the stop below is met
+by a summand decaying as exp(-a n) (30 covers the s^2 ln s regime near
+s = 0), and each later block 16.  At each n = M >= 8 the head forms
+Gregory's end correction (Dahlquist and Bjorck, Numerical Methods in
+Scientific Computing I, SIAM 2008)::
 
     Sum_{n>=M} f(n) = (1/a) Int_{s_M}^oo F(s) ds + f_M/2 - Delta f_M/12
                       + Delta^2 f_M/24 - ... - 33953 Delta^7 f_M/3628800,
@@ -114,7 +120,8 @@ _N_CAP = 2_000_000        # hard Matsubara cap (see design notes)
 _PANEL_LIMIT = 300        # G-K panels per Matsubara term
 _BLOCK_MIN = 8            # Matsubara terms per block, n >= 1; the cap
 _BLOCK_MAX = 256          # bounds the arrays of one pass
-_HEAD_BLOCK = 64          # terms n >= 1 per block of a sum that may take the tail
+_HEAD_BLOCK = 64          # most terms n >= 1 in the first block of a sum that may take the tail
+_HEAD_NEXT = 16           # terms per later head block
 _HEAD_MIN = 8             # the first n at which the tail may start
 _TAIL_PANELS = (0.0, 3.0, 8.0, 20.0, _T_END)  # the tail's first v-panels
 # the terms its first pass is worth: 4 cells of 21 x 21 nodes over the 3 x 21 of a far term
@@ -288,10 +295,11 @@ _W_GAUSS[1:10:2] = _WG
 _W_GAUSS[11:20:2] = tuple(reversed(_WG))
 _W_KG = np.stack((_W_KRONROD, _W_GAUSS), axis=1)
 _EPS = np.finfo(float).eps
-# starting panels of the static n = 0 term: eighteen, halving down to
-# 60/2^17 ~ 5e-4 toward t = 0; a first panel of 60/2^16 was split in a
-# second pass at 150 and 300 K (see _start_panels for n >= 1)
-_STATIC_EDGES = np.concatenate(([0.0], _T_WINDOW * 0.5 ** np.arange(17, -1, -1)))
+# starting panels of the static n = 0 term in w = sqrt(t): eight, halving
+# down to sqrt(60)/2^7 ~ 0.06 toward w = 0, where a screened or perfect
+# reflector's TM integrand has a log point, 2 w ln w in w (see _start_panels
+# for n >= 1)
+_STATIC_EDGES = np.concatenate(([0.0], math.sqrt(_T_WINDOW) * 0.5 ** np.arange(7, -1, -1)))
 
 
 def _integrand(kind: str, d: float, xi, u_min, t, pair1, pair2, out):
@@ -323,7 +331,11 @@ def _kronrod(f, half):
     The weighted sums are matrix products: one BLAS call forms the Kronrod
     and Gauss sums of every panel (14 us at 871 panels on one Xeon core,
     against 117 us for the multiply and sum of one rule), and one buffer
-    serves both |f| sums.
+    serves both |f| sums.  Their bits depend on the panel count: with
+    numpy 2.4.6 and OpenBLAS 0.3.31 on an AVX-512 x86-64 core, 288 of 399
+    row prefixes of a random (2, 400, 21) array gave other f @ _W_KG bits
+    than the same rows of the full product.  So a term's bits depend on the
+    other terms of its block, and bit-for-bit pins hold for one BLAS build.
     """
     kg = f @ _W_KG
     resk, resg = kg[..., 0], kg[..., 1]
@@ -339,26 +351,21 @@ def _kronrod(f, half):
 
 
 def _start_panels(u_rows, n_static: int):
-    """(row, a, b) of a block's starting panels, in row order.
+    """(row, a, b) of a block's starting panels in w = sqrt(t), in row order.
 
-    The static row takes ``_STATIC_EDGES``.  Each row n >= 1 takes [0, 5],
-    halved toward t = 0 (at most _HALVINGS times) until its first panel is
-    no wider than 2 u_n, the scale its integrand varies on near t = 0, and
-    then [5, 20] and [20, _T_END].  A row whose [0, 5] is halved at least
-    once, one with 2 u_n < 5, splits [5, 20] at 12.5 as well: its finer
-    panels share its tolerance more ways, and [5, 20] then fails its share
-    and is split in a second pass.  These are the panels the first pass
-    would otherwise split, so a block converges in one pass in the common
-    case.
+    The static row takes ``_STATIC_EDGES``.  Each row n >= 1 takes [0, 2],
+    halved toward w = 0 (at most _HALVINGS times) while its first panel is
+    wider than 1.5 sqrt(u_n): the amplitudes' branch points sit about u_n
+    from t = 0, so about sqrt(u_n) from w = 0.  Then come [2, 3.5] and
+    [3.5, sqrt(_T_END)].  These are the panels the first pass would
+    otherwise split, so a block converges in one pass in the common case.
     """
-    halves = 5.0 * 0.5 ** np.arange(_HALVINGS, -1, -1)
-    ladder = np.concatenate(([0.0], halves, [12.5, 20.0, _T_END]))
-    lo = np.searchsorted(halves[1:], 2.0 * u_rows[n_static:], side="right")
-    # a row's edges: 0, the ladder from halves[lo] on, 12.5 only if lo < _HALVINGS
+    halves = 2.0 * 0.5 ** np.arange(_HALVINGS, -1, -1)
+    ladder = np.concatenate(([0.0], halves, [3.5, math.sqrt(_T_END)]))
+    lo = np.searchsorted(halves[1:], 1.5 * np.sqrt(u_rows[n_static:]), side="right")
+    # a row's edges: 0, then the ladder from halves[lo] on
     j = np.arange(len(ladder))
-    keep = (j > lo[:, None]) | (j == 0)
-    keep[:, _HALVINGS + 2] = lo < _HALVINGS
-    i, j = np.nonzero(keep)
+    i, j = np.nonzero((j > lo[:, None]) | (j == 0))
     inner = i[1:] == i[:-1]  # consecutive edges of one row bound a panel
     row = i[1:][inner] + n_static
     a, b = ladder[j[:-1][inner]], ladder[j[1:][inner]]
@@ -370,7 +377,7 @@ def _start_panels(u_rows, n_static: int):
 
 
 def _block_integrals(kind: str, d: float, xis, pair1, pair2, quad_rel: float):
-    """Integrals I[c, i] over t >= 0 for the frequencies xis[i].
+    """Integrals I[c, i] over t >= 0 for the frequencies xis[i], taken in w = sqrt(t).
 
     c = 0 is TM, c = 1 TE.  One adaptive G10/K21 bisection serves the whole
     block: each pass evaluates every new panel, then splits the panels of
@@ -398,8 +405,9 @@ def _block_integrals(kind: str, d: float, xis, pair1, pair2, quad_rel: float):
     nodes = passes = 0
     while True:
         half = 0.5 * (new_b - new_a)
-        t = half[:, None] * _NODES
-        t += 0.5 * (new_a + new_b)[:, None]
+        w = half[:, None] * _NODES
+        w += 0.5 * (new_a + new_b)[:, None]
+        t = w * w
         f = np.empty((2,) + t.shape)
         lead = np.count_nonzero(new_row < n_static)
         if lead:
@@ -407,6 +415,7 @@ def _block_integrals(kind: str, d: float, xis, pair1, pair2, quad_rel: float):
         if lead < len(t):
             r = new_row[lead:, None]
             _integrand(kind, d, xis[r], u_rows[r], t[lead:], pair1, pair2, f[:, lead:])
+        f *= 2.0 * w  # dt = 2 w dw
         v, e = _kronrod(f, half)
         nodes, passes = nodes + t.size, passes + 1
         if passes > 1:  # a refining pass: the kept panels lead
@@ -615,13 +624,19 @@ def _matsubara_sum(kind: str, geom: Geometry, T: float,
     # past it grow from _BLOCK_MIN by doubling
     n_expected = math.ceil(math.log(1.0 / tol.sum_rel) * phys.C_LIGHT / (2.0 * d * xi1))
     # a sum expected to outlast one head block and the _TAIL_TERMS terms
-    # the tail's first pass is worth walks blocks of _HEAD_BLOCK, its "head",
-    # and ends in the tail once the next terms of Gregory's correction are
-    # small; with fewer than _TAIL_TERMS terms left to go, it walks on.  The
-    # threshold counts nodes; it is set so low because the direct walk of 94-168
-    # terms stops 2.5-4 sum_rel short of the complete sum, and the tail does not.
-    # At 40 K in the nernst CLI, head and tail take 0.82 of a walk's time (one Xeon core)
+    # the tail's first pass is worth walks its "head" in blocks, and ends in
+    # the tail once the next terms of Gregory's correction are small; with
+    # fewer than _TAIL_TERMS terms left to go, it walks on.  The threshold
+    # counts nodes; it is set so low because the direct walk of 94-168 terms
+    # stops 2.5-4 sum_rel short of the complete sum, and the tail does not.
+    # The nernst point at 40 K: head and tail take 0.71 of a walk's time (one Xeon core)
     head = n_expected > _HEAD_BLOCK + 1 + _TAIL_TERMS
+    # the first head block reaches 10 terms past M_s, where Gregory's stop is
+    # met by a summand F0 exp(-a n) with acc = F0/a, or past n = 30 for the
+    # s^2 ln s regime near s = 0; over 1,920 tail sums M ran at most 1 past
+    # max(M_s, 30) for energies and 5 for pressures, which take one more block
+    a = 2.0 * d * xi1 / phys.C_LIGHT
+    m_s = math.ceil(math.log(4.0 * abs(_GREGORY[8]) * a ** 9 / tol.sum_rel) / a)
     terms = []  # the head's terms, indexed by n
     tail_from = None
     extra = _BLOCK_MIN
@@ -630,7 +645,7 @@ def _matsubara_sum(kind: str, geom: Geometry, T: float,
     while not done:
         head = head and n_expected - n_next >= _TAIL_TERMS
         if head:
-            size = _HEAD_BLOCK + (n_next == 0)
+            size = min(_HEAD_BLOCK, max(m_s, 30) + 10) + 1 if n_next == 0 else _HEAD_NEXT
         elif n_next == 0:
             size = min(n_expected + _BLOCK_MIN, _BLOCK_MAX) + 1
         elif n_next <= n_expected:
@@ -691,7 +706,6 @@ def _matsubara_sum(kind: str, geom: Geometry, T: float,
         # Sum_{n >= M} f(n) = (1/a) Int_{s_M}^oo F(s) ds + Gregory's correction,
         # with s = 2 d xi / c = a n and F the summand at xi = s c / (2 d)
         m = tail_from
-        a = 2.0 * d * xi1 / phys.C_LIGHT
         J, J_err, tail_notes, (nodes, passes, cells) = _tail_integral(
             kind, d, m * a, p1, p2, tol.quad_rel)
         warnings.extend(tail_notes)
