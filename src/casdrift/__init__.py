@@ -24,6 +24,7 @@ from .lifshitz import (
     SumStats,
     Tolerances,
     energy_ratio,
+    free_energies,
     free_energy_per_area,
     g_mode,
     pressure,

@@ -52,6 +52,14 @@ infinite estimate.  Terms are reduced in fixed n-order and every array
 operation runs in a fixed order, so repeated runs are bit-identical.
 ``SummationResult.stats`` records the work done.
 
+Several temperatures are summed as columns of one walk
+(``free_energies``).  The lowest, whose terms decay the slowest, sets the
+layout: the blocks, the route, the start panels and the tail's first
+cells.  Each column makes its own integrand and quadrature calls on it, a
+panel or cell splits if any column asks, and the walk stops at the first
+n where every column's stop test holds, so the columns keep the same
+terms.  One column is the single sum, bit for bit.
+
 A long sum, one expected to outlast a head block of 64 terms and the 28
 terms the tail's first pass is worth, ends in an xi-integral instead.
 Past its first few dozen terms the summand f(n) = F(a n), a = 2 d xi_1 / c,
@@ -108,6 +116,7 @@ __all__ = [
     "SumStats",
     "g_mode",
     "free_energy_per_area",
+    "free_energies",
     "pressure",
     "ratio_to_bare",
     "energy_ratio",
@@ -173,6 +182,9 @@ class Tolerances:
                 raise DomainError(f"{name} must lie in [1e-12, 1e-4], got {v!r}")
 
 
+_DEFAULT_TOLERANCES = Tolerances()
+
+
 @dataclass(frozen=True)
 class SumStats:
     """Deterministic work counts of one Matsubara sum.
@@ -225,8 +237,9 @@ def _with_model(geom: Geometry, model: ReflectionModel) -> Geometry:
 
 def _pair_fns(geom: Geometry, T: float):
     p1 = amplitude_fn(geom.plate1.model, geom.plate1.material, T)
-    p2 = amplitude_fn(geom.plate2.model, geom.plate2.material, T)
-    return p1, p2
+    if geom.plate2 is geom.plate1:  # the cache would return p1 again
+        return p1, p1
+    return p1, amplitude_fn(geom.plate2.model, geom.plate2.material, T)
 
 
 def _q_pair(pair1, pair2, xi, k, t, u_min):
@@ -325,8 +338,8 @@ def _integrand(kind: str, d: float, xi, u_min, t, pair1, pair2, out):
             out[c] /= np.subtract(1.0, q, out=q)
 
 
-def _kronrod(f, half):
-    """QUADPACK's dqk21 value and error estimate for node values f[2, P, 21].
+def _kronrod(f, half, out=(None, None)):
+    """QUADPACK's dqk21 value and error estimate for node values f[2, P, 21], into ``out``.
 
     The weighted sums are matrix products: one BLAS call forms the Kronrod
     and Gauss sums of every panel (14 us at 871 panels on one Xeon core,
@@ -344,10 +357,25 @@ def _kronrod(f, half):
     np.abs(np.subtract(f, 0.5 * resk[..., None], out=dev), out=dev)
     resasc = half * (dev @ _W_KRONROD)
     err = np.abs((resk - resg) * half)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
-    return resk * half, np.maximum(err, 50.0 * _EPS * resabs)
+    # QUADPACK's scaling where resasc != 0: it leaves err = 0 at 0
+    nz = resasc != 0.0
+    scaled = resasc * np.minimum(1.0, (200.0 * err / np.where(nz, resasc, 1.0)) ** 1.5)
+    err = np.where(nz, scaled, err)
+    return np.multiply(resk, half, out=out[0]), np.maximum(err, 50.0 * _EPS * resabs, out=out[1])
+
+
+@functools.lru_cache(maxsize=4)  # by the windows' ends
+def _panel_levels(t_end: float, static_edges: bytes):
+    """(thresholds, a, b): row L of a and b, zero-padded, holds the panels of
+    halving level L (see :func:`_start_panels`), the last row the static term's."""
+    halves = 2.0 * 0.5 ** np.arange(_HALVINGS, -1, -1)
+    ladder = np.concatenate(([0.0], halves, [3.5, math.sqrt(t_end)]))
+    levels = [np.append(0.0, ladder[lo + 1:]) for lo in range(_HALVINGS + 1)]
+    levels.append(np.frombuffer(static_edges))
+    a, b = np.zeros((2, len(levels), max(map(len, levels)) - 1))
+    for e, a_l, b_l in zip(levels, a, b):
+        a_l[:len(e) - 1], b_l[:len(e) - 1] = e[:-1], e[1:]
+    return halves[1:], a, b
 
 
 def _start_panels(u_rows, n_static: int):
@@ -359,80 +387,85 @@ def _start_panels(u_rows, n_static: int):
     from t = 0, so about sqrt(u_n) from w = 0.  Then come [2, 3.5] and
     [3.5, sqrt(_T_END)].  These are the panels the first pass would
     otherwise split, so a block converges in one pass in the common case.
+    A row gathers its level's panels from a table: 12 us for a 30-row
+    block against 20 us for building them (one Xeon core).
     """
-    halves = 2.0 * 0.5 ** np.arange(_HALVINGS, -1, -1)
-    ladder = np.concatenate(([0.0], halves, [3.5, math.sqrt(_T_END)]))
-    lo = np.searchsorted(halves[1:], 1.5 * np.sqrt(u_rows[n_static:]), side="right")
-    # a row's edges: 0, then the ladder from halves[lo] on
-    j = np.arange(len(ladder))
-    i, j = np.nonzero((j > lo[:, None]) | (j == 0))
-    inner = i[1:] == i[:-1]  # consecutive edges of one row bound a panel
-    row = i[1:][inner] + n_static
-    a, b = ladder[j[:-1][inner]], ladder[j[1:][inner]]
+    thresholds, a, b = _panel_levels(_T_END, _STATIC_EDGES.tobytes())
+    level = np.searchsorted(thresholds, 1.5 * np.sqrt(u_rows[n_static:]), side="right")
     if n_static:
-        row = np.concatenate((np.zeros(len(_STATIC_EDGES) - 1, dtype=int), row))
-        a = np.concatenate((_STATIC_EDGES[:-1], a))
-        b = np.concatenate((_STATIC_EDGES[1:], b))
-    return row, a, b
+        level = np.concatenate(([len(a) - 1], level))
+    a, b = a[level], b[level]
+    panel = b > 0.0  # the padding ends at 0
+    return np.nonzero(panel)[0], a[panel], b[panel]
 
 
-def _block_integrals(kind: str, d: float, xis, pair1, pair2, quad_rel: float):
-    """Integrals I[c, i] over t >= 0 for the frequencies xis[i], taken in w = sqrt(t).
+def _block_integrals(kind: str, d: float, xis, pairs, quad_rel: float):
+    """Integrals I[c, j, i] over t >= 0 for the frequencies xis[j, i], taken in w = sqrt(t).
 
-    c = 0 is TM, c = 1 TE.  One adaptive G10/K21 bisection serves the whole
-    block: each pass evaluates every new panel, then splits the panels of
-    each unconverged component whose error exceeds that component's
-    tolerance shared over its term's panels.  A component has converged
-    once its summed error is at most quad_rel |I|; a block whose components
-    all converge returns at once (one row: 110 us, 138 us with the split
-    bookkeeping, one Xeon core).  A term stops refining at _PANEL_LIMIT
-    panels and gets a note for every component still above its tolerance.
+    c = 0 is TM, c = 1 TE; column j takes its amplitudes from pairs[j].  One
+    adaptive G10/K21 bisection serves the whole block: each pass evaluates
+    every new panel, then splits the panels of each unconverged component
+    whose error exceeds that component's tolerance shared over its term's
+    panels.  A component has converged once its summed error is at most
+    quad_rel |I|; a block whose components all converge returns at once
+    (one row: 110 us, 138 us with the split bookkeeping, one Xeon core).  A
+    term stops refining at _PANEL_LIMIT panels and gets a note for every
+    component still above its tolerance.  The columns share the panels,
+    started from the lowest frequencies' u_n, and a panel splits if any
+    column asks for it; each column makes its own integrand and _kronrod
+    calls, so its bits are those of a one-column block on that layout.
 
-    xis holds positive frequencies, optionally led by 0.0, the static n = 0
-    term.  The static row's new panels lead each pass's arrays, so a pass
-    makes one integrand call for them (the providers take the static branch
-    for a float xi = 0) and one for the rest; a stable partition keeps every
-    row's panel order, and so its summation order.
+    Each row of xis holds positive frequencies, optionally led by 0.0, the
+    static n = 0 term.  The static row's new panels lead each pass's
+    arrays, so a pass makes one integrand call for them (the providers take
+    the static branch for a float xi = 0) and one for the rest; a stable
+    partition keeps every row's panel order, and so its summation order.
 
     Returns (I, E, notes, counts): values and error estimates, shape
-    (2, len(xis)); notes as {term index: texts}; counts (nodes, passes,
-    panels).
+    (2, C, n_rows); notes per column as {term index: texts}; counts
+    (nodes, passes, panels) of one column.
     """
-    n_rows = len(xis)
+    n_cols, n_rows = xis.shape
     u_rows = 2.0 * d * xis / phys.C_LIGHT
-    n_static = int(xis[0] == 0.0)
-    row, a, b = new_row, new_a, new_b = _start_panels(u_rows, n_static)
+    n_static = int(xis[0, 0] == 0.0)
+    row, a, b = new_row, new_a, new_b = _start_panels(u_rows[xis[:, -1].argmin()], n_static)
+    bins = np.arange(0, 2 * n_cols * n_rows, n_rows)[:, None]  # first bin of each (c, j)
     nodes = passes = 0
     while True:
         half = 0.5 * (new_b - new_a)
         w = half[:, None] * _NODES
         w += 0.5 * (new_a + new_b)[:, None]
         t = w * w
-        f = np.empty((2,) + t.shape)
+        dt_dw = 2.0 * w
         lead = np.count_nonzero(new_row < n_static)
-        if lead:
-            _integrand(kind, d, 0.0, 0.0, t[:lead], pair1, pair2, f[:, :lead])
-        if lead < len(t):
-            r = new_row[lead:, None]
-            _integrand(kind, d, xis[r], u_rows[r], t[lead:], pair1, pair2, f[:, lead:])
-        f *= 2.0 * w  # dt = 2 w dw
-        v, e = _kronrod(f, half)
+        r = new_row[lead:, None]
+        f = np.empty((2,) + t.shape)  # each column's nodes in turn
+        v, e = np.empty((2, 2, n_cols, len(t)))
+        for j, (xi, u, (pair1, pair2)) in enumerate(zip(xis, u_rows, pairs)):
+            if lead:
+                _integrand(kind, d, 0.0, 0.0, t[:lead], pair1, pair2, f[:, :lead])
+            if lead < len(t):
+                _integrand(kind, d, xi[r], u[r], t[lead:], pair1, pair2, f[:, lead:])
+            f *= dt_dw
+            _kronrod(f, half, (v[:, j], e[:, j]))
         nodes, passes = nodes + t.size, passes + 1
         if passes > 1:  # a refining pass: the kept panels lead
             row = np.concatenate((row, new_row))
             a, b = np.concatenate((a, new_a)), np.concatenate((b, new_b))
-            v, e = np.concatenate((val, v), axis=1), np.concatenate((err, e), axis=1)
+            v, e = np.concatenate((val, v), axis=2), np.concatenate((err, e), axis=2)
         val, err = v, e
 
-        I = np.array([np.bincount(row, val[c], n_rows) for c in (0, 1)])
-        E = np.array([np.bincount(row, err[c], n_rows) for c in (0, 1)])
+        # one bincount over (c, j, row) adds each bin's panels in order, as one per row would
+        idx = (bins + row).ravel()
+        I = np.bincount(idx, val.ravel(), bins.size * n_rows).reshape(2, n_cols, n_rows)
+        E = np.bincount(idx, err.ravel(), bins.size * n_rows).reshape(2, n_cols, n_rows)
         tol = np.maximum(quad_rel * np.abs(I), 1.0e-300)
         above = E > tol
         if not above.any():
-            return I, E, {}, (nodes, passes, len(row))
+            return I, E, ({},) * n_cols, (nodes, passes, len(row))
         n_panels = np.bincount(row, minlength=n_rows)
         open_ = above & (n_panels < _PANEL_LIMIT)
-        split = (open_[:, row] & (err * n_panels[row] > tol[:, row])).any(axis=0)
+        split = (open_[..., row] & (err * n_panels[row] > tol[..., row])).any(axis=(0, 1))
         if not split.any():
             break
         mid = 0.5 * (a[split] + b[split])
@@ -444,14 +477,14 @@ def _block_integrals(kind: str, d: float, xis, pair1, pair2, quad_rel: float):
             new_row, new_a, new_b = new_row[order], new_a[order], new_b[order]
         keep = ~split
         row, a, b = row[keep], a[keep], b[keep]
-        val, err = val[:, keep], err[:, keep]
+        val, err = val[..., keep], err[..., keep]
 
-    notes = {}
-    for i, c in np.argwhere(above.T).tolist():
-        notes.setdefault(i, []).append(
-            f"quadrature note at xi={xis[i]:.4e} ({('TM', 'TE')[c]}): panel "
-            f"limit ({_PANEL_LIMIT}) reached with error {E[c, i]:.2e} above "
-            f"the target {tol[c, i]:.2e}")
+    notes = tuple({} for _ in range(n_cols))
+    for c, j, i in np.argwhere(above).tolist():
+        notes[j].setdefault(i, []).append(
+            f"quadrature note at xi={xis[j, i]:.4e} ({('TM', 'TE')[c]}): panel "
+            f"limit ({_PANEL_LIMIT}) reached with error {E[c, j, i]:.2e} above "
+            f"the target {tol[c, j, i]:.2e}")
     return I, E, notes, (nodes, passes, len(row))
 
 
@@ -514,7 +547,7 @@ def _tail_first_grid(edges: tuple):
     return grid
 
 
-def _tail_integral(kind: str, d: float, s0: float, pair1, pair2, quad_rel: float):
+def _tail_integral(kind: str, d: float, s0s, pairs, quad_rel: float):
     """J = Int_{s0}^oo F(s) ds over s0 <= s <= u in polar form (energy)::
 
         J = Int_0^45 dv u v Int_0^1 dq Sum_p ln(1 - Q)    (pressure: u^2 v Q/(1 - Q))
@@ -523,61 +556,68 @@ def _tail_integral(kind: str, d: float, s0: float, pair1, pair2, quad_rel: float
     (Lifshitz, Sov. Phys. JETP 2, 73, 1956); v > 45 adds below exp(-45).
     Each cell is a K21 x K21 rule, its error the G-K error in v plus the
     q-rules' errors under the v-weights; a pass's new cells are one
-    integrand call.  They start on the v-panels _TAIL_PANELS, the first
-    halved while wider than 8 s0 (F is not analytic at s = 0), with q in
-    [0, 1].  While the summed error exceeds quad_rel |J|, each cell above
-    its share splits in v or in q, whichever part of its error is larger;
-    a q-split at q = 0 cuts at 1/8, as where r_TM -> 1 (xi < 4 pi
+    integrand call per column j, from s0s[j] with pairs[j].  The columns
+    share the cells.  They start on the v-panels _TAIL_PANELS, the first
+    halved while wider than 8 min(s0s) (F is not analytic at s = 0), with q
+    in [0, 1].  While a column's summed error exceeds quad_rel |J|, each
+    cell above its share in any column splits in v or in q, whichever part
+    of the error is larger in the column furthest above its share; a
+    q-split at q = 0 cuts at 1/8, as where r_TM -> 1 (xi < 4 pi
     sigma0/eps0) the integrand varies on the scale s0/v there (188k nodes
     over 20 Conductivity tails, 331k halved).  Non-finite nodes are
     refused; a rule that cannot split or has _TAIL_CELL_LIMIT cells stops
-    with a note.  The first pass's nodes depend on s0 only through the
-    halvings and are cached per layout, and the cell table is built only if
-    that pass fails: such a pass (1,764 nodes) costs 180 us, 225 us building
-    both (one Xeon core).  Returns (J, its error, notes, (nodes, passes, cells)).
+    with a note for each column above its target.  The first pass's nodes
+    depend on s0 only through the halvings and are cached per layout, and
+    the cell table is built only if that pass fails: such a pass (1,764
+    nodes) costs 180 us, 225 us building both (one Xeon core).  Returns
+    (J, errors, notes) per column and (nodes, passes, cells) of one column.
     """
-    first = _TAIL_PANELS[1]
-    halvings = max(math.ceil(math.log2(first / (8.0 * s0))), 0) if s0 > 0.0 else 0
+    first, s_min = _TAIL_PANELS[1], min(s0s)
+    halvings = max(math.ceil(math.log2(first / (8.0 * s_min))), 0) if s_min > 0.0 else 0
     edges = (0.0,) + tuple(first * 0.5 ** h for h in range(halvings, 0, -1)) + _TAIL_PANELS[1:]
     new, half, v, vq, t = _tail_first_grid(edges)
-    cells = None  # v- and q-bounds, value, v-error, q-error, once a pass fails
-    notes, nodes, passes = [], 0, 0
+    cells = None  # v- and q-bounds, then each column's value, v- and q-error, once a pass fails
+    nodes, passes = 0, 0
     while True:
-        s = s0 + vq
-        xi = s * (phys.C_LIGHT / (2.0 * d))
-        f = np.empty((2,) + s.shape)
-        _integrand(kind, d, xi, s, t, pair1, pair2, f)
-        if not np.isfinite(f).all():
-            _refuse_non_finite(kind, xi.ravel(), f.reshape(2, -1))
-        inner, inner_err = _kronrod(v * (f[0] + f[1]), half[1, :, None])
-        outer, outer_err = _kronrod(inner, half[0])
-        q_err = half[0] * (inner_err @ _W_KRONROD)
+        rows = []
+        for s0, (pair1, pair2) in zip(s0s, pairs):
+            s = s0 + vq
+            xi = s * (phys.C_LIGHT / (2.0 * d))
+            f = np.empty((2,) + s.shape)
+            _integrand(kind, d, xi, s, t, pair1, pair2, f)
+            if not np.isfinite(f).all():
+                _refuse_non_finite(kind, xi.ravel(), f.reshape(2, -1))
+            inner, inner_err = _kronrod(v * (f[0] + f[1]), half[1, :, None])
+            rows += _kronrod(inner, half[0]) + (half[0] * (inner_err @ _W_KRONROD),)
         nodes, passes = nodes + f[0].size, passes + 1
         if cells is not None:
-            cells = np.concatenate((cells, np.vstack((new, outer, outer_err, q_err))), axis=1)
-            outer, outer_err, q_err = cells[4:]
-        err = outer_err + q_err
-        J, E = float(outer.sum()), float(err.sum())
-        tol = quad_rel * abs(J)
-        if E <= tol:
+            cells = np.concatenate((cells, np.vstack((new, *rows))), axis=1)
+            rows = cells[4:]
+        err = [e_v + e_q for e_v, e_q in zip(rows[1::3], rows[2::3])]
+        J, E = [float(x.sum()) for x in rows[0::3]], [float(x.sum()) for x in err]
+        tol = [quad_rel * abs(x) for x in J]
+        if all(x <= y for x, y in zip(E, tol)):
+            return J, E, [[] for _ in s0s], (nodes, passes, len(err[0]))
+        cells = np.vstack((new, *rows)) if cells is None else cells
+        errs, tols = np.array(err), np.array(tol)[:, None]
+        split = (errs * len(errs[0]) > tols).any(axis=0)
+        if len(errs[0]) >= _TAIL_CELL_LIMIT or not split.any():
             break
-        cells = np.vstack((new, outer, outer_err, q_err)) if cells is None else cells
-        split = err * len(err) > tol
-        if len(err) >= _TAIL_CELL_LIMIT or not split.any():
-            notes.append(
-                f"quadrature note in the Matsubara tail from s={s0:.4e}: stopped "
-                f"at {len(err)} cells (limit {_TAIL_CELL_LIMIT}) with error "
-                f"{E:.2e} above the target {tol:.2e}")
-            break
-        va, vb, qa, qb, _, e_v, e_q = cells[:, split]
-        in_v = e_v > e_q
+        va, vb, qa, qb = cells[:4, split]
+        # the column furthest above its target picks the cut
+        worst = (errs[:, split] / np.maximum(tols, 1.0e-300)).argmax(axis=0)
+        in_v = (cells[5::3, split] > cells[6::3, split])[worst, np.arange(len(worst))]
         cut_v = np.where(in_v, 0.5 * (va + vb), vb)
         cut_q = np.where(in_v, qb, np.where(qa == 0.0, 0.125 * qb, 0.5 * (qa + qb)))
         new, half, v, vq, t = _tail_grid(np.hstack((
             np.stack((va, cut_v, qa, cut_q)),
             np.stack((np.where(in_v, cut_v, va), vb, np.where(in_v, qa, cut_q), qb)))))
         cells = cells[:, ~split]
-    return J, E, notes, (nodes, passes, len(err))
+    notes = [[f"quadrature note in the Matsubara tail from s={s0:.4e}: stopped "
+              f"at {len(err[0])} cells (limit {_TAIL_CELL_LIMIT}) with error "
+              f"{e:.2e} above the target {x:.2e}"] if e > x else []
+             for s0, e, x in zip(s0s, E, tol)]
+    return J, E, notes, (nodes, passes, len(err[0]))
 
 
 def _check_temperature(T: float) -> None:
@@ -591,38 +631,84 @@ def _range_warnings(T: float) -> list:
     return []
 
 
-def _matsubara_sum(kind: str, geom: Geometry, T: float,
-                   tolerances: Optional[Tolerances]) -> SummationResult:
-    _check_temperature(T)
-    tol = tolerances if tolerances is not None else Tolerances()
-    d = geom.d
-    xi1 = phys.matsubara_xi(1, T)
-    # even with |r| = 1 the summand carries exp(-2 d xi_n / c); if that factor
-    # cannot reach ~1e-13 within the cap, refuse upfront with guidance.
-    if 2.0 * d * xi1 * _N_CAP / phys.C_LIGHT < 30.0:
-        raise SummationError(
-            f"exp(-2 d xi_n / c) stays above 1e-13 past the {_N_CAP}-term "
-            f"Matsubara cap at T={T} K, d={d} cm; raise T or increase d (the "
-            "T -> 0 limit of the sum is not implemented)",
-            diagnostics={"T": T, "d": d, "n_cap": _N_CAP},
-        )
+class _Column:
+    """One temperature's sum: its providers and weights, and the walk's state."""
 
-    p1, p2 = _pair_fns(geom, T)
+    __slots__ = ("T", "pair_fns", "coef", "a", "acc", "quad_err", "next_order",
+                 "per_n", "terms", "warnings", "row", "streak", "met")
 
-    coef = phys.K_B * T / (8.0 * math.pi * d * d)
-    if kind == "pressure":
-        coef /= d
+    def __init__(self, kind: str, geom: Geometry, T: float):
+        _check_temperature(T)
+        d, xi1 = geom.d, phys.matsubara_xi(1, T)
+        # even with |r| = 1 the summand carries exp(-2 d xi_n / c); if that factor
+        # cannot reach ~1e-13 within the cap, refuse upfront with guidance.
+        if 2.0 * d * xi1 * _N_CAP / phys.C_LIGHT < 30.0:
+            raise SummationError(
+                f"exp(-2 d xi_n / c) stays above 1e-13 past the {_N_CAP}-term "
+                f"Matsubara cap at T={T} K, d={d} cm; raise T or increase d (the "
+                "T -> 0 limit of the sum is not implemented)",
+                diagnostics={"T": T, "d": d, "n_cap": _N_CAP},
+            )
+        self.T, self.pair_fns, self.a = T, _pair_fns(geom, T), 2.0 * d * xi1 / phys.C_LIGHT
+        self.coef = phys.K_B * T / (8.0 * math.pi * d * d)
+        if kind == "pressure":
+            self.coef /= d
+        self.acc = self.quad_err = self.next_order = 0.0
+        self.per_n, self.terms, self.warnings, self.streak = [], [], _range_warnings(T), 0
 
-    warnings = _range_warnings(T)
-    per_n = []
-    quad_err = 0.0
-    small_streak = 0
-    acc = 0.0
+    def walk(self, block, i_end: int, lead: bool, head: bool, sum_rel: float) -> int:
+        """Walk rows self.row..i_end - 1 of a block and return the last: a leading
+        column stops where its own stop test holds, others test their last row."""
+        kind, n_next, tm_j, te_j, err_j, notes_j, xi_j, vals_j = block
+        acc, quad_err, streak, met = self.acc, self.quad_err, self.streak, False
+        per_n, terms = self.per_n, self.terms
+        for i in range(self.row, i_end):
+            n = n_next + i
+            tm_part, te_part = tm_j[i], te_j[i]
+            term = te_part + tm_part
+            if not math.isfinite(term):
+                _refuse_non_finite(kind, xi_j[i:i + 1], vals_j[:, i:i + 1])
+            per_n.append((n, te_part, tm_part))
+            quad_err += err_j[i]
+            if notes_j:
+                self.warnings.extend(notes_j.get(i, ()))
+            acc += term
+            if n >= 1:
+                small = abs(term) < sum_rel * abs(acc) or (term == 0.0 and acc == 0.0)
+                streak = streak + 1 if small else 0
+            if head:
+                terms.append(term)
+                # Gregory's formula at M = n - 9 reads f_M..f_n
+                if n >= _HEAD_MIN + 9 and (lead or i == i_end - 1):
+                    self.next_order = _gregory_next(terms[n - 9:])
+                    met = self.next_order <= 0.5 * sum_rel * abs(acc)
+            if lead and (streak >= 3 or met):
+                break
+        self.row, self.acc, self.quad_err = i + 1, acc, quad_err
+        self.streak, self.met = streak, met
+        return i
+
+    def result(self, n_last: int, stats: SumStats, remainder: float = 0.0) -> SummationResult:
+        return SummationResult(self.acc, tuple(self.per_n), n_last, self.quad_err,
+                               self.next_order, tuple(self.warnings), stats, remainder)
+
+
+def _matsubara_sums(kind: str, geom: Geometry, Ts, tolerances: Optional[Tolerances]) -> tuple:
+    """The sums at the temperatures Ts, one column each, walked together."""
+    tol = tolerances if tolerances is not None else _DEFAULT_TOLERANCES
+    d, sum_rel = geom.d, tol.sum_rel
+    if not Ts:
+        raise DomainError("no temperature to sum at")
+    columns = [_Column(kind, geom, T) for T in Ts]
+    i_low = Ts.index(min(Ts))
+    low = columns[i_low]  # its terms decay the slowest: it sets the layout
+    pairs = [col.pair_fns for col in columns]
     counts = [0, 0, 0, 0]  # terms computed, nodes, passes, panels
     # the first block runs from n = 0 to _BLOCK_MIN terms past the n where
     # exp(-2 d xi_n / c) falls below sum_rel; blocks then reach that n, and
     # past it grow from _BLOCK_MIN by doubling
-    n_expected = math.ceil(math.log(1.0 / tol.sum_rel) * phys.C_LIGHT / (2.0 * d * xi1))
+    n_expected = math.ceil(math.log(1.0 / sum_rel) * phys.C_LIGHT
+                           / (2.0 * d * phys.matsubara_xi(1, low.T)))
     # a sum expected to outlast one head block and the _TAIL_TERMS terms
     # the tail's first pass is worth walks its "head" in blocks, and ends in
     # the tail once the next terms of Gregory's correction are small; with
@@ -635,14 +721,12 @@ def _matsubara_sum(kind: str, geom: Geometry, T: float,
     # met by a summand F0 exp(-a n) with acc = F0/a, or past n = 30 for the
     # s^2 ln s regime near s = 0; over 1,920 tail sums M ran at most 1 past
     # max(M_s, 30) for energies and 5 for pressures, which take one more block
-    a = 2.0 * d * xi1 / phys.C_LIGHT
-    m_s = math.ceil(math.log(4.0 * abs(_GREGORY[8]) * a ** 9 / tol.sum_rel) / a)
-    terms = []  # the head's terms, indexed by n
+    m_s = math.ceil(math.log(4.0 * abs(_GREGORY[8]) * low.a ** 9 / sum_rel) / low.a)
     tail_from = None
     extra = _BLOCK_MIN
     n_next = 0
-    done = False
-    while not done:
+    T_col, coef_col = np.array([(col.T, col.coef) for col in columns]).T[..., None]
+    while True:
         head = head and n_expected - n_next >= _TAIL_TERMS
         if head:
             size = min(_HEAD_BLOCK, max(m_s, 30) + 10) + 1 if n_next == 0 else _HEAD_NEXT
@@ -653,95 +737,69 @@ def _matsubara_sum(kind: str, geom: Geometry, T: float,
         else:
             size, extra = min(extra, _BLOCK_MAX), 2 * extra
         ns = np.arange(n_next, min(n_next + size, _N_CAP + 1), dtype=float)
-        xis = 2.0 * math.pi * ns * phys.K_B * T / phys.HBAR
-        vals, errs, notes, work = _block_integrals(kind, d, xis, p1, p2, tol.quad_rel)
+        xis = 2.0 * math.pi * ns * phys.K_B * T_col / phys.HBAR
+        vals, errs, notes, work = _block_integrals(kind, d, xis, pairs, tol.quad_rel)
         counts = [c + w for c, w in zip(counts, (len(ns),) + work)]
-        i_tm, i_te = vals.tolist()
-        wc = np.where(ns == 0.0, 0.5 * coef, coef)  # the n = 0 half-weight
+        wc = np.where(ns == 0.0, 0.5 * coef_col, coef_col)  # the n = 0 half-weight
         tm_parts, te_parts = (wc * vals).tolist()
-        term_errs = (wc * (errs[0] + errs[1])).tolist()
-        for i, n in enumerate(range(n_next, n_next + len(ns))):
-            if not math.isfinite(i_tm[i] + i_te[i]):
-                _refuse_non_finite(kind, xis[i:i + 1], vals[:, i:i + 1])
-            tm_part, te_part = tm_parts[i], te_parts[i]
-            per_n.append((n, te_part, tm_part))
-            quad_err += term_errs[i]
-            if notes:
-                warnings.extend(notes.get(i, ()))
-
-            term = te_part + tm_part
-            acc += term
-            if n >= 1:
-                if abs(term) < tol.sum_rel * abs(acc) or (term == 0.0 and acc == 0.0):
-                    small_streak += 1
-                else:
-                    small_streak = 0
-                if small_streak >= 3:
-                    done = True
-                    break
-            if head:
-                terms.append(term)
-                if n >= _HEAD_MIN + 9:  # Gregory's formula at M = n - 9 reads f_M..f_n
-                    next_order = _gregory_next(terms[n - 9:])
-                    if next_order <= 0.5 * tol.sum_rel * abs(acc):
-                        tail_from = n - 9
-                        done = True
-                        break
-            if n >= _N_CAP:
-                raise SummationError(
-                    f"Matsubara sum hit the cap ({_N_CAP} terms) without "
-                    "converging; raise T or increase d",
-                    partial=SummationResult(
-                        value=acc, per_n_terms=tuple(per_n), n_truncated_at=n,
-                        quadrature_error_estimate=quad_err,
-                        truncation_error_estimate=math.inf,
-                        warnings=tuple(warnings),
-                        stats=SumStats(len(per_n), *counts),
-                    ),
-                    diagnostics={"T": T, "d": d, "n": n},
-                )
+        blocks = [(kind, n_next) + block for block in zip(
+            tm_parts, te_parts, (wc * (errs[0] + errs[1])).tolist(), notes, xis,
+            vals.swapaxes(0, 1))]
+        for col in columns:
+            col.row = 0
+        # every column's stop test holds at the joint stop, the lowest
+        # temperature's among them: it leads, and the others follow to its stops
+        while True:
+            i = low.walk(blocks[i_low], len(ns), True, head, sum_rel)
+            for col, block in zip(columns, blocks):
+                if col is not low:
+                    col.walk(block, i + 1, False, head, sum_rel)
+            direct = all([col.streak >= 3 for col in columns])
+            tail = head and all([col.met for col in columns])
+            if direct or tail or i == len(ns) - 1:
+                break
+        n = n_next + i
+        if direct or tail:
+            tail_from = None if direct else n - 9
+            break
+        if n >= _N_CAP:
+            low.next_order = math.inf
+            raise SummationError(
+                f"Matsubara sum hit the cap ({_N_CAP} terms) without "
+                "converging; raise T or increase d",
+                partial=low.result(n, SumStats(len(low.per_n), *counts)),
+                diagnostics={"T": low.T, "d": d, "n": n},
+            )
         n_next += len(ns)
 
-    if tail_from is not None:
-        # Sum_{n >= M} f(n) = (1/a) Int_{s_M}^oo F(s) ds + Gregory's correction,
-        # with s = 2 d xi / c = a n and F the summand at xi = s c / (2 d)
-        m = tail_from
-        J, J_err, tail_notes, (nodes, passes, cells) = _tail_integral(
-            kind, d, m * a, p1, p2, tol.quad_rel)
-        warnings.extend(tail_notes)
-        remainder = _gregory(terms[m:m + 8]) + coef / a * J
+    if tail_from is None:
+        for col in columns:
+            # geometric tail estimate from the stop's three small terms (n >= 1), with
+            # the measured ratio: at low T it approaches 1 and the tail grows as 1/(1 - rho)
+            col.next_order = 0.0
+            nz = [t for t in (abs(te + tm) for _, te, tm in col.per_n[-3:]) if t > 0.0]
+            if len(nz) >= 2:
+                rho = nz[-1] / nz[-2]
+                col.next_order = math.inf if rho >= 1.0 else nz[-1] * rho / (1.0 - rho)
+        return tuple([col.result(n, SumStats(len(col.per_n), *counts)) for col in columns])
+
+    # Sum_{n >= M} f(n) = (1/a) Int_{s_M}^oo F(s) ds + Gregory's correction,
+    # with s = 2 d xi / c = a n and F the summand at xi = s c / (2 d)
+    m = tail_from
+    J, J_err, tail_notes, (nodes, passes, cells) = _tail_integral(
+        kind, d, [m * col.a for col in columns], pairs, tol.quad_rel)
+    stats = SumStats(m, counts[0], counts[1] + nodes, counts[2] + passes, counts[3] + cells, nodes)
+    results = []
+    for col, j, j_err, notes_j in zip(columns, J, J_err, tail_notes):
+        col.warnings.extend(notes_j)
+        remainder = _gregory(col.terms[m:m + 8]) + col.coef / col.a * j
         head_sum = 0.0
-        for term in terms[:m]:
+        for term in col.terms[:m]:
             head_sum += term
-        return SummationResult(
-            value=head_sum + remainder,
-            per_n_terms=tuple(per_n[:m]),
-            n_truncated_at=m - 1,
-            quadrature_error_estimate=quad_err + coef / a * J_err,
-            truncation_error_estimate=next_order,
-            warnings=tuple(warnings),
-            stats=SumStats(m, counts[0], counts[1] + nodes, counts[2] + passes,
-                           counts[3] + cells, nodes),
-            remainder=remainder,
-        )
-
-    # geometric tail estimate from the stop's three small terms (n >= 1), with
-    # the measured ratio: at low T it approaches 1 and the tail grows as 1/(1 - rho)
-    tail = 0.0
-    nz = [t for t in (abs(te + tm) for _, te, tm in per_n[-3:]) if t > 0.0]
-    if len(nz) >= 2:
-        rho = nz[-1] / nz[-2]
-        tail = math.inf if rho >= 1.0 else nz[-1] * rho / (1.0 - rho)
-
-    return SummationResult(
-        value=acc,
-        per_n_terms=tuple(per_n),
-        n_truncated_at=n,
-        quadrature_error_estimate=quad_err,
-        truncation_error_estimate=tail,
-        warnings=tuple(warnings),
-        stats=SumStats(len(per_n), *counts),
-    )
+        col.acc, col.per_n = head_sum + remainder, col.per_n[:m]
+        col.quad_err += col.coef / col.a * j_err
+        results.append(col.result(m - 1, stats, remainder))
+    return tuple(results)
 
 
 # --- public operations ------------------------------------------------------------
@@ -750,7 +808,17 @@ def free_energy_per_area(geom: Geometry, T: float,
                          tolerances: Optional[Tolerances] = None
                          ) -> SummationResult:
     """Casimir-Lifshitz free energy per area [erg/cm^2] (negative, binding)."""
-    return _matsubara_sum("energy", geom, T, tolerances)
+    return _matsubara_sums("energy", geom, (T,), tolerances)[0]
+
+
+def free_energies(geom: Geometry, temperatures,
+                  tolerances: Optional[Tolerances] = None) -> tuple:
+    """Free energies per area [erg/cm^2] at several temperatures, from one walk.
+
+    The sums share the lowest temperature's layout and stop (see the module
+    notes); one temperature gives ``free_energy_per_area``'s result.
+    """
+    return _matsubara_sums("energy", geom, tuple(temperatures), tolerances)
 
 
 def pressure(geom: Geometry, T: float,
@@ -759,7 +827,7 @@ def pressure(geom: Geometry, T: float,
 
     Equals the d-derivative of the free energy per area.
     """
-    return _matsubara_sum("pressure", geom, T, tolerances)
+    return _matsubara_sums("pressure", geom, (T,), tolerances)[0]
 
 
 def ratio_to_bare(geom: Geometry, T: float,

@@ -538,7 +538,7 @@ def complete_matsubara_sum(kind: str, geom: Geometry, T: float,
     for start in range(0, n_last + 1, 256):
         ns = np.arange(start, min(start + 256, n_last + 1), dtype=float)
         xis = 2.0 * math.pi * ns * phys.K_B * T / phys.HBAR
-        I = lifshitz._block_integrals(kind, d, xis, p1, p2, quad_rel)[0]
+        I = lifshitz._block_integrals(kind, d, xis[None], [(p1, p2)], quad_rel)[0][:, 0]
         w = np.where(ns == 0.0, 0.5, 1.0) * coef
         parts.extend((w * I[0]).tolist() + (w * I[1]).tolist())
     return math.fsum(parts)
@@ -625,7 +625,7 @@ def zero_temperature_energy(d: float, spec: MaterialSpec, quad_rel: float = 1e-1
     Drift plates carry no carriers at T = 0 and have the same E(0).
     """
     pair = amplitude_fn(Bare(), spec, 1.0)  # bare amplitudes do not depend on T
-    J = lifshitz._tail_integral("energy", d, 0.0, pair, pair, quad_rel)[0]
+    J = lifshitz._tail_integral("energy", d, [0.0], [(pair, pair)], quad_rel)[0][0]
     return phys.HBAR * phys.C_LIGHT * J / (32.0 * math.pi**2 * d**3)
 
 

@@ -18,7 +18,8 @@ PUBLIC = {
     "ModelValidityError", "NormalizationError", "SummationError",
     # lifshitz
     "Geometry", "Plate", "SummationResult", "SumStats", "Tolerances",
-    "energy_ratio", "free_energy_per_area", "g_mode", "pressure", "ratio_to_bare",
+    "energy_ratio", "free_energies", "free_energy_per_area", "g_mode", "pressure",
+    "ratio_to_bare",
     # materials
     "BUILTIN", "GE", "SI", "MaterialSpec", "MaterialState", "SellmeierPermittivity",
     "band_gap", "bare_eps", "carrier_density", "get_material", "material_state",

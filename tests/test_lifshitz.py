@@ -14,6 +14,7 @@ from casdrift.lifshitz import (
     Plate,
     SumStats,
     Tolerances,
+    free_energies,
     free_energy_per_area,
     g_mode,
     pressure,
@@ -298,7 +299,8 @@ class TestScalarQuadratureReference:
         for model in (Drift(), Conductivity(2.09e10)):
             pair = amplitude_fn(model, GE, T)
             for kind in ("energy", "pressure"):
-                vals = lifshitz._block_integrals(kind, d, xis, pair, pair, 1e-10)[0]
+                vals = lifshitz._block_integrals(kind, d, xis[None], [(pair, pair)],
+                                                 1e-10)[0][:, 0]
                 for i, xi in enumerate(xis):
                     ref = term_integrals_quad(kind, d, xi, pair, pair, 1e-10)
                     for c in (0, 1):
@@ -369,6 +371,19 @@ class TestSumStats:
                 assert (st.tail_rows > 0) == (T <= 40.0), (t, st)
                 nodes += st.nodes
         assert abs(nodes - 105_000) <= 0.01 * 105_000
+        # as entropy() sums it: one call per point, its four columns on the
+        # layout of the lowest temperature, 9 passes instead of 36.  Each
+        # column integrates every node of the shared blocks and cells.
+        calls = passes = nodes = 0
+        for T in (300.0, 150.0, 75.0, 40.0, 20.0, 10.0):
+            h = T / 20.0
+            res = free_energies(geom, (T + h, T - h, T + 0.5 * h, T - 0.5 * h),
+                                tolerances=ENTROPY_TOL)
+            assert len({r.stats for r in res}) == 1, (T, res)
+            st = res[0].stats
+            calls, passes, nodes = calls + 1, passes + st.passes, nodes + st.nodes
+        assert (calls, passes) == (6, 9)
+        assert abs(nodes - 26_649) <= 0.01 * 26_649
 
 
 # The engine's figures, bit for bit: float.hex of the value, the quadrature
@@ -431,6 +446,61 @@ class TestFrozenBits:
                 res.truncation_error_estimate.hex(), res.remainder.hex()) == hexes
         assert res.stats == SumStats(*stats)
         assert res.warnings == ()
+
+
+class TestColumns:
+    """Several temperatures summed in one call, on the lowest one's layout."""
+
+    @pytest.mark.parametrize("geom, T, tol", [case[1:3] + case[4:5] for case in FROZEN_SUMS
+                                              if case[3] is free_energy_per_area],
+                             ids=[case[0] for case in FROZEN_SUMS
+                                  if case[3] is free_energy_per_area])
+    def test_one_column_is_the_single_sum(self, geom, T, tol):
+        single = free_energy_per_area(geom, T, tolerances=tol)
+        (column,) = free_energies(geom, (T,), tolerances=tol)
+        assert column == single
+        assert column.value.hex() == single.value.hex()
+
+    # Ge/Cond 0.1 um at 1 K: a tail refined in q, over four passes
+    ENTROPY_CASES = [(Geometry.identical(D_1UM, GE, Drift()), 300.0),
+                     (Geometry.identical(D_1UM, GE, Drift()), 10.0),
+                     (Geometry.identical(0.1e-4, GE, Conductivity(2.09e10)), 1.0)]
+
+    @pytest.mark.parametrize("geom, T", ENTROPY_CASES, ids=["drift-300K", "drift-10K", "cond-1K"])
+    def test_permuted_temperatures_permute_the_results(self, geom, T):
+        h = T / 20.0
+        temps = (T + h, T - h, T + 0.5 * h, T - 0.5 * h)
+        res = free_energies(geom, temps, tolerances=ENTROPY_TOL)
+        for order in ((3, 2, 1, 0), (1, 3, 0, 2), (2, 0, 3, 1)):
+            again = free_energies(geom, [temps[k] for k in order], tolerances=ENTROPY_TOL)
+            assert again == tuple(res[k] for k in order), order
+            assert [r.value.hex() for r in again] == [res[k].value.hex() for k in order]
+
+    @pytest.mark.parametrize("geom, T", ENTROPY_CASES, ids=["drift-300K", "drift-10K", "cond-1K"])
+    def test_columns_lie_within_their_single_sums_errors(self, geom, T):
+        h = T / 20.0
+        temps = (T + h, T - h, T + 0.5 * h, T - 0.5 * h)
+        for t, col in zip(temps, free_energies(geom, temps, tolerances=ENTROPY_TOL)):
+            single = free_energy_per_area(geom, t, tolerances=ENTROPY_TOL)
+            errors = (col.quadrature_error_estimate + col.truncation_error_estimate
+                      + single.quadrature_error_estimate + single.truncation_error_estimate)
+            assert abs(col.value - single.value) <= errors, (t, col.value, single.value)
+            assert col.warnings == single.warnings == ()
+        if T == 1.0:
+            assert col.stats.passes == 4 and col.stats.tail_rows > 441 * 4
+
+    def test_cap_refusal_names_its_temperature(self, monkeypatch):
+        # at 1 um, 1 mK is past the Matsubara cap: refused before any integral
+        def no_block(*args):
+            raise AssertionError("integrated before the refusal")
+        monkeypatch.setattr(lifshitz, "_block_integrals", no_block)
+        with pytest.raises(SummationError, match="Matsubara cap") as info:
+            free_energies(Geometry.identical(D_1UM, GE, Drift()), (300.0, 1e-3))
+        assert info.value.diagnostics["T"] == 1e-3
+
+    def test_no_temperature_is_refused(self):
+        with pytest.raises(DomainError):
+            free_energies(Geometry.identical(D_1UM, GE, Drift()), ())
 
 
 class TestMatsubaraTail:
@@ -588,6 +658,18 @@ class TestMatsubaraTail:
                 op(Geometry.identical(D_1UM, GE, Drift()), T, tolerances=ENTROPY_TOL)
             assert info.value.diagnostics["xi"] in bad_xis
 
+        # two columns, only the one at T has the nan: the refusal names its xi
+        def nan_at_T(model, spec, temp):
+            return late_nan(model, spec, temp) if temp == T else (
+                lambda xi, k: (0.5 + 0.0 * k, 0.0 * k))
+        monkeypatch.setattr(lifshitz, "amplitude_fn", nan_at_T)
+        for temps in ((T, 1.05 * T), (1.05 * T, T), (0.95 * T, T)):
+            bad_xis.clear()
+            with pytest.raises(SummationError, match="non-finite") as info:
+                free_energies(Geometry.identical(D_1UM, GE, Drift()), temps,
+                              tolerances=ENTROPY_TOL)
+            assert info.value.diagnostics["xi"] in bad_xis, temps
+
     def test_tail_bookkeeping(self):
         res = free_energy_per_area(Geometry.identical(D_1UM, GE, Drift()), 10.0,
                                    tolerances=ENTROPY_TOL)
@@ -693,7 +775,8 @@ class TestEngineGuards:
         t = half[:, None] * lifshitz._NODES + (a + 0.5)[:, None]
         for spec, model in ((GE, Drift()), (GE, IdealMetal())):
             pair = amplitude_fn(model, spec, 10.5)
-            term = lifshitz._block_integrals(kind, D_1UM, xi, pair, pair, 1e-10)[0][:, 0]
+            term = lifshitz._block_integrals(kind, D_1UM, xi[None], [(pair, pair)],
+                                             1e-10)[0][:, 0, 0]
             f = np.empty((2,) + t.shape)
             lifshitz._integrand(kind, D_1UM, xi[0], u_n, t, pair, pair, f)
             tail = (f @ lifshitz._W_KRONROD) @ half
@@ -885,3 +968,27 @@ def test_halved_tolerances_move_no_sum_beyond_both_errors(spec, model):
                     what = (d_um, T, op.__name__, tol, a.value, b.value, errors)
                     assert abs(a.value - b.value) <= errors, what
                     assert a.warnings == b.warnings == (), what
+
+
+# The energy cases of the 1280-sum grid at the entropy tolerances, summed as
+# entropy() sums them: four columns at T +- h and T +- h/2, h = T/20, on the
+# lowest temperature's layout.  Each column lies within both reported errors
+# of its own single sum and leaves no note.
+@pytest.mark.slow
+@pytest.mark.parametrize("model", [Bare(), Drift(), Nonlocal(), Conductivity(2.09e10)],
+                         ids=["bare", "drift", "nonlocal", "cond"])
+@pytest.mark.parametrize("spec", [GE, SI], ids=["Ge", "Si"])
+def test_entropy_columns_lie_within_their_single_sums_errors(spec, model):
+    for d_um in (0.1, 0.3, 1.0, 3.0, 10.0):
+        geom = Geometry.identical(d_um * 1e-4, spec, model)
+        for T in (300.0, 150.0, 77.0, 40.0, 20.0, 10.0, 4.0, 1.0):
+            h = T / 20.0
+            temps = (T + h, T - h, T + 0.5 * h, T - 0.5 * h)
+            for t, col in zip(temps, free_energies(geom, temps, tolerances=ENTROPY_TOL)):
+                single = free_energy_per_area(geom, t, tolerances=ENTROPY_TOL)
+                errors = (col.quadrature_error_estimate + col.truncation_error_estimate
+                          + single.quadrature_error_estimate
+                          + single.truncation_error_estimate)
+                what = (d_um, t, col.value, single.value, errors)
+                assert abs(col.value - single.value) <= errors, what
+                assert col.warnings == (), what
