@@ -40,17 +40,20 @@ call yields TM and TE together from one amplitude call per plate.  Each
 (term, polarization) component keeps its own error estimate and is
 refined until that estimate is at most ``quad_rel`` times its value.
 
-The first block runs from n = 0 to 8 terms past the n where
-exp(-2 d xi_n / c) falls below ``sum_rel``, with at most 256 terms
-n >= 1; further blocks reach that n, then start at 8 terms and double.
-The sum walks each block's terms in n-order and stops once three
-successive terms each contribute less than ``sum_rel`` of the
-accumulated value; terms computed past the stop are dropped.  A
-geometric fit to the last terms provides the recorded tail estimate,
-with the measured ratio uncapped; a ratio of 1 or more reports an
-infinite estimate.  Terms are reduced in fixed n-order and every array
-operation runs in a fixed order, so repeated runs are bit-identical.
-``SummationResult.stats`` records the work done.
+A sum takes one of two routes, each with one stop.  A direct sum, one not
+expected to outlast a head block and the tail's first pass (below), stops
+at the first N >= 1 where R(N), a bound on the terms n > N and its
+truncation estimate, is at most ``sum_rel`` of the accumulated value.  As
+|r1 r2| <= 1 on the imaginary axis (passivity), |ln(1 - Q)| and
+|Q/(1 - Q)| are at most exp(-u)/(1 - exp(-x_n)) for u >= x_n = 2 d xi_n/c:
+term n >= 1 is at most 2 coef p(x_n) exp(-x_n)/(1 - exp(-x_n)), with
+p(x) = x + 1 and coef = kB T/(8 pi d^2) for energies, x^2 + 2 x + 2 and
+kB T/(8 pi d^3) for pressures.  R(N) sums these in closed form.  The first
+block runs from n = 0 to the stop for a nominal value coef/x_1, a
+follow-up block to the stop for the running value, each with at most 256
+terms n >= 1; terms computed past the stop are dropped.  Terms are reduced
+in fixed n-order and every array operation runs in a fixed order, so
+repeated runs are bit-identical; ``SummationResult.stats`` counts the work.
 
 Several temperatures are summed as columns of one walk
 (``free_energies``).  The lowest, whose terms decay the slowest, sets the
@@ -81,9 +84,7 @@ the first M where the estimate is at most ``sum_rel``/2 of the running
 value.  J is taken in Lifshitz's polar form (``_tail_integral``), held
 to ``quad_rel``; its error joins the quadrature estimate, and from
 s_M = 0 it gives the T = 0 energy hbar c J / (32 pi^2 d^3).  ``value``
-is the ordered sum of the head's terms n < M plus this remainder.  The
-three-small-terms stop stays active in the head; a head with fewer than
-28 expected terms to go continues as a direct walk.
+is the ordered sum of the head's terms n < M plus this remainder.
 
 Each :class:`Plate` binds its material and its reflection model; every
 operation reads the model from there.  :func:`g_mode` forms the mode
@@ -124,11 +125,10 @@ __all__ = [
 
 _T_WINDOW = 60.0          # the static term's t-window: exp(-60) ~ 9e-27
 _T_END = 45.0             # n >= 1: exp(-45) ~ 2.9e-20, 45^2 exp(-45) ~ 6e-17
-_HALVINGS = 8             # n >= 1: most halvings of [0, 5] toward t = 0
+_HALVINGS = 8             # n >= 1: most halvings of [0, 2] toward w = sqrt(t) = 0
 _N_CAP = 2_000_000        # hard Matsubara cap (see design notes)
 _PANEL_LIMIT = 300        # G-K panels per Matsubara term
-_BLOCK_MIN = 8            # Matsubara terms per block, n >= 1; the cap
-_BLOCK_MAX = 256          # bounds the arrays of one pass
+_BLOCK_MAX = 256          # Matsubara terms n >= 1 per direct block: bounds the arrays of one pass
 _HEAD_BLOCK = 64          # most terms n >= 1 in the first block of a sum that may take the tail
 _HEAD_NEXT = 16           # terms per later head block
 _HEAD_MIN = 8             # the first n at which the tail may start
@@ -216,7 +216,9 @@ class SummationResult:
     ``remainder`` the terms past them, summed as an xi-integral with
     Gregory's end correction (0.0 when every term is summed directly).
     ``value`` equals the plain ordered sum of the parts plus ``remainder``.
-    Units are erg/cm^2 for energies and dyn/cm^2 for pressures.
+    ``truncation_error_estimate`` is the passivity bound on the terms past
+    ``n_truncated_at`` (direct sums) or twice the next two terms of Gregory's
+    correction (tail sums).  Units are erg/cm^2 and dyn/cm^2.
     """
 
     value: float
@@ -635,7 +637,7 @@ class _Column:
     """One temperature's sum: its providers and weights, and the walk's state."""
 
     __slots__ = ("T", "pair_fns", "coef", "a", "acc", "quad_err", "next_order",
-                 "per_n", "terms", "warnings", "row", "streak", "met")
+                 "per_n", "terms", "warnings", "row", "met")
 
     def __init__(self, kind: str, geom: Geometry, T: float):
         _check_temperature(T)
@@ -654,13 +656,14 @@ class _Column:
         if kind == "pressure":
             self.coef /= d
         self.acc = self.quad_err = self.next_order = 0.0
-        self.per_n, self.terms, self.warnings, self.streak = [], [], _range_warnings(T), 0
+        self.per_n, self.terms, self.warnings = [], [], _range_warnings(T)
 
-    def walk(self, block, i_end: int, lead: bool, head: bool, sum_rel: float) -> int:
+    def walk(self, block, i_end: int, lead: bool, sum_rel: float) -> int:
         """Walk rows self.row..i_end - 1 of a block and return the last: a leading
-        column stops where its own stop test holds, others test their last row."""
-        kind, n_next, tm_j, te_j, err_j, notes_j, xi_j, vals_j = block
-        acc, quad_err, streak, met = self.acc, self.quad_err, self.streak, False
+        column stops where its own stop test holds, others test their last row:
+        Gregory's estimate in a head block, the bound R(n) in a direct one."""
+        kind, n_next, tm_j, te_j, err_j, notes_j, xi_j, vals_j, bound_j = block
+        acc, quad_err, met = self.acc, self.quad_err, False
         per_n, terms = self.per_n, self.terms
         for i in range(self.row, i_end):
             n = n_next + i
@@ -673,24 +676,33 @@ class _Column:
             if notes_j:
                 self.warnings.extend(notes_j.get(i, ()))
             acc += term
-            if n >= 1:
-                small = abs(term) < sum_rel * abs(acc) or (term == 0.0 and acc == 0.0)
-                streak = streak + 1 if small else 0
-            if head:
+            if bound_j is None:
                 terms.append(term)
                 # Gregory's formula at M = n - 9 reads f_M..f_n
                 if n >= _HEAD_MIN + 9 and (lead or i == i_end - 1):
                     self.next_order = _gregory_next(terms[n - 9:])
                     met = self.next_order <= 0.5 * sum_rel * abs(acc)
-            if lead and (streak >= 3 or met):
+            elif n >= 1:
+                self.next_order = bound_j[i]
+                met = self.next_order <= sum_rel * abs(acc)
+            if lead and met:
                 break
-        self.row, self.acc, self.quad_err = i + 1, acc, quad_err
-        self.streak, self.met = streak, met
+        self.row, self.acc, self.quad_err, self.met = i + 1, acc, quad_err, met
         return i
 
     def result(self, n_last: int, stats: SumStats, remainder: float = 0.0) -> SummationResult:
         return SummationResult(self.acc, tuple(self.per_n), n_last, self.quad_err,
                                self.next_order, tuple(self.warnings), stats, remainder)
+
+
+def _passivity_tail(kind: str, a, ns):
+    """R(N)/coef at N = ns: the module notes' bounds on the terms n > N, each
+    denominator taken at x_{N+1}, summed in closed form; g = 1/(exp(a) - 1)."""
+    x, g = (ns + 1.0) * a, 1.0 / np.expm1(a)
+    p = x + 1.0 + a * g  # energy; the pressure's sum is p^2 + 1 + a^2 g (1 + g)
+    if kind == "pressure":
+        p = p * p + 1.0 + a * a * g * (1.0 + g)
+    return 2.0 * p * np.exp(-x) / (np.expm1(-a) * np.expm1(-x))
 
 
 def _matsubara_sums(kind: str, geom: Geometry, Ts, tolerances: Optional[Tolerances]) -> tuple:
@@ -704,17 +716,14 @@ def _matsubara_sums(kind: str, geom: Geometry, Ts, tolerances: Optional[Toleranc
     low = columns[i_low]  # its terms decay the slowest: it sets the layout
     pairs = [col.pair_fns for col in columns]
     counts = [0, 0, 0, 0]  # terms computed, nodes, passes, panels
-    # the first block runs from n = 0 to _BLOCK_MIN terms past the n where
-    # exp(-2 d xi_n / c) falls below sum_rel; blocks then reach that n, and
-    # past it grow from _BLOCK_MIN by doubling
+    # the n where exp(-2 d xi_n / c) falls below sum_rel
     n_expected = math.ceil(math.log(1.0 / sum_rel) * phys.C_LIGHT
                            / (2.0 * d * phys.matsubara_xi(1, low.T)))
     # a sum expected to outlast one head block and the _TAIL_TERMS terms
     # the tail's first pass is worth walks its "head" in blocks, and ends in
-    # the tail once the next terms of Gregory's correction are small; with
-    # fewer than _TAIL_TERMS terms left to go, it walks on.  The threshold
-    # counts nodes; it is set so low because the direct walk of 94-168 terms
-    # stops 2.5-4 sum_rel short of the complete sum, and the tail does not.
+    # the tail once the next terms of Gregory's correction are small.  The
+    # threshold counts nodes; it was set so low when the direct walk ended
+    # 2.5-4 sum_rel short of the complete sum at 94-168 terms.
     # The nernst point at 40 K: head and tail take 0.71 of a walk's time (one Xeon core)
     head = n_expected > _HEAD_BLOCK + 1 + _TAIL_TERMS
     # the first head block reaches 10 terms past M_s, where Gregory's stop is
@@ -722,21 +731,19 @@ def _matsubara_sums(kind: str, geom: Geometry, Ts, tolerances: Optional[Toleranc
     # s^2 ln s regime near s = 0; over 1,920 tail sums M ran at most 1 past
     # max(M_s, 30) for energies and 5 for pressures, which take one more block
     m_s = math.ceil(math.log(4.0 * abs(_GREGORY[8]) * low.a ** 9 / sum_rel) / low.a)
-    tail_from = None
-    extra = _BLOCK_MIN
     n_next = 0
-    T_col, coef_col = np.array([(col.T, col.coef) for col in columns]).T[..., None]
+    T_col, coef_col, a_col = np.array([(col.T, col.coef, col.a) for col in columns]).T[..., None]
     while True:
-        head = head and n_expected - n_next >= _TAIL_TERMS
+        size = _BLOCK_MAX + (n_next == 0)
         if head:
             size = min(_HEAD_BLOCK, max(m_s, 30) + 10) + 1 if n_next == 0 else _HEAD_NEXT
-        elif n_next == 0:
-            size = min(n_expected + _BLOCK_MIN, _BLOCK_MAX) + 1
-        elif n_next <= n_expected:
-            size = min(max(n_expected + 1 - n_next, _BLOCK_MIN), _BLOCK_MAX)
-        else:
-            size, extra = min(extra, _BLOCK_MAX), 2 * extra
         ns = np.arange(n_next, min(n_next + size, _N_CAP + 1), dtype=float)
+        bounds = (None,) * len(columns)
+        if not head:  # up to the lead column's stop for its |acc| (coef/a before any term)
+            bound = coef_col * _passivity_tail(kind, a_col, ns)
+            target = sum_rel * (abs(low.acc) if n_next else low.coef / low.a)
+            size = max(np.count_nonzero(bound[i_low] > target), n_next == 0) + 1  # R falls with n
+            ns, bounds = ns[:size], bound[:, :size].tolist()
         xis = 2.0 * math.pi * ns * phys.K_B * T_col / phys.HBAR
         vals, errs, notes, work = _block_integrals(kind, d, xis, pairs, tol.quad_rel)
         counts = [c + w for c, w in zip(counts, (len(ns),) + work)]
@@ -744,23 +751,21 @@ def _matsubara_sums(kind: str, geom: Geometry, Ts, tolerances: Optional[Toleranc
         tm_parts, te_parts = (wc * vals).tolist()
         blocks = [(kind, n_next) + block for block in zip(
             tm_parts, te_parts, (wc * (errs[0] + errs[1])).tolist(), notes, xis,
-            vals.swapaxes(0, 1))]
+            vals.swapaxes(0, 1), bounds)]
         for col in columns:
             col.row = 0
         # every column's stop test holds at the joint stop, the lowest
         # temperature's among them: it leads, and the others follow to its stops
         while True:
-            i = low.walk(blocks[i_low], len(ns), True, head, sum_rel)
+            i = low.walk(blocks[i_low], len(ns), True, sum_rel)
             for col, block in zip(columns, blocks):
                 if col is not low:
-                    col.walk(block, i + 1, False, head, sum_rel)
-            direct = all([col.streak >= 3 for col in columns])
-            tail = head and all([col.met for col in columns])
-            if direct or tail or i == len(ns) - 1:
+                    col.walk(block, i + 1, False, sum_rel)
+            met = all([col.met for col in columns])
+            if met or i == len(ns) - 1:
                 break
         n = n_next + i
-        if direct or tail:
-            tail_from = None if direct else n - 9
+        if met:
             break
         if n >= _N_CAP:
             low.next_order = math.inf
@@ -772,20 +777,12 @@ def _matsubara_sums(kind: str, geom: Geometry, Ts, tolerances: Optional[Toleranc
             )
         n_next += len(ns)
 
-    if tail_from is None:
-        for col in columns:
-            # geometric tail estimate from the stop's three small terms (n >= 1), with
-            # the measured ratio: at low T it approaches 1 and the tail grows as 1/(1 - rho)
-            col.next_order = 0.0
-            nz = [t for t in (abs(te + tm) for _, te, tm in col.per_n[-3:]) if t > 0.0]
-            if len(nz) >= 2:
-                rho = nz[-1] / nz[-2]
-                col.next_order = math.inf if rho >= 1.0 else nz[-1] * rho / (1.0 - rho)
+    if not head:
         return tuple([col.result(n, SumStats(len(col.per_n), *counts)) for col in columns])
 
     # Sum_{n >= M} f(n) = (1/a) Int_{s_M}^oo F(s) ds + Gregory's correction,
     # with s = 2 d xi / c = a n and F the summand at xi = s c / (2 d)
-    m = tail_from
+    m = n - 9
     J, J_err, tail_notes, (nodes, passes, cells) = _tail_integral(
         kind, d, [m * col.a for col in columns], pairs, tol.quad_rel)
     stats = SumStats(m, counts[0], counts[1] + nodes, counts[2] + passes, counts[3] + cells, nodes)

@@ -19,6 +19,10 @@ library result by an independent route:
 * :func:`complete_matsubara_sum` -- every Matsubara term out to
   2 d xi_n / c = 52 summed directly, against which the engine's stop
   rules and its xi-integral tail are held;
+* :func:`passivity_bound`, :func:`passivity_bound_sum` -- the passivity
+  bound on one Matsubara term and its ``math.fsum`` over a run of terms,
+  against which the kept terms of a direct sum and the engine's closed
+  form R(N) are held;
 * :func:`gregory_next_loop` -- the head stop's binomial differences as a
   loop over ``math.comb`` coefficients, against which the engine's
   written-out ``_gregory_next`` is held bit for bit;
@@ -542,6 +546,26 @@ def complete_matsubara_sum(kind: str, geom: Geometry, T: float,
         w = np.where(ns == 0.0, 0.5, 1.0) * coef
         parts.extend((w * I[0]).tolist() + (w * I[1]).tolist())
     return math.fsum(parts)
+
+
+def passivity_bound(kind: str, coef: float, x: float, x_den: float) -> float:
+    """2 coef p(x) exp(-x) / (1 - exp(-x_den)), p(x) = x + 1 (energy) or x^2 + 2 x + 2.
+
+    With x = x_den = 2 d xi_n / c this bounds Matsubara term n >= 1, both
+    polarizations, wherever |r1 r2| <= 1: |ln(1 - Q)| and |Q/(1 - Q)| are at
+    most exp(-u)/(1 - exp(-x)) for u >= x, and Int_x^oo u exp(-u) du =
+    (x + 1) exp(-x), Int_x^oo u^2 exp(-u) du = (x^2 + 2 x + 2) exp(-x).
+    ``coef`` is the sum's kB T/(8 pi d^2) (pressure: kB T/(8 pi d^3)).
+    """
+    p = x + 1.0 if kind == "energy" else x * x + 2.0 * x + 2.0
+    return 2.0 * coef * p * math.exp(-x) / -math.expm1(-x_den)
+
+
+def passivity_bound_sum(kind: str, coef: float, a: float, K: int, L: int) -> float:
+    """``math.fsum`` of passivity_bound at x = m a over m = K..K+L, every
+    denominator taken at x_den = K a: the library's R(K - 1), less the
+    terms past K + L."""
+    return math.fsum(passivity_bound(kind, coef, m * a, K * a) for m in range(K, K + L + 1))
 
 
 # Delta^k f_M = Sum_j (-1)^(k-j) C(k, j) f_{M+j} for k = 8 and 9

@@ -35,6 +35,8 @@ from oracles import (
     ideal_metal_n0_tm_pressure,
     ideal_metal_pressure,
     n0_swapped_energy,
+    passivity_bound,
+    passivity_bound_sum,
     pc_n0_ratio_asymptote,
     term_integrals_quad,
 )
@@ -43,6 +45,11 @@ D_1UM = 1e-4
 TIGHT = Tolerances(quad_rel=1e-10, sum_rel=1e-12)
 MODEL_NAMES = ("bare", "cond", "drift", "nonlocal")
 PLATE_MODELS = MODEL_NAMES + ("ideal",)
+
+
+# near-vacuum plates: eps(i xi) - 1 <= 1e-12
+GHOST = replace(GE, permittivity=SellmeierPermittivity(eps0=1.0 + 1e-12, eps_inf=1.0, omega0=5e15),
+                gap_E0=1e6, name="ghost")
 
 
 def plate_model(name, spec):
@@ -186,28 +193,21 @@ class TestShapeAndBookkeeping:
 
     @pytest.mark.parametrize("T", [0.1, 1.0, 10.0, 300.0])
     def test_sum_rel_halving_within_reported_estimate(self, T):
-        # at 0.1 K successive terms shrink by only rho = 0.99947, so the tail
-        # past the stop is about 1/(1 - rho) times the last term
+        # 300 K is a direct sum, whose estimate bounds every term past its
+        # stop; 10, 1 and 0.1 K end in the tail, estimated from Gregory's
+        # correction
         geom = Geometry.identical(D_1UM, GE, Drift())
         a = free_energy_per_area(geom, T, tolerances=Tolerances(1e-10, 2e-12))
         b = free_energy_per_area(geom, T, tolerances=Tolerances(1e-10, 1e-12))
         assert abs(a.value - b.value) <= a.truncation_error_estimate
 
     def test_near_vacuum_plates_give_near_zero(self):
-        ghost = replace(
-            GE, permittivity=SellmeierPermittivity(
-                eps0=1.0 + 1e-12, eps_inf=1.0, omega0=5e15),
-            gap_E0=1e6, name="ghost")
-        res = free_energy_per_area(Geometry.identical(D_1UM, ghost, Bare()), 300.0)
+        res = free_energy_per_area(Geometry.identical(D_1UM, GHOST, Bare()), 300.0)
         ref = free_energy_per_area(Geometry.identical(D_1UM, GE, Bare()), 300.0)
         assert abs(res.value) < 1e-20 * abs(ref.value)
 
     def test_near_vacuum_pressure_near_zero(self):
-        ghost = replace(
-            GE, permittivity=SellmeierPermittivity(
-                eps0=1.0 + 1e-12, eps_inf=1.0, omega0=5e15),
-            gap_E0=1e6, name="ghost")
-        res = pressure(Geometry.identical(D_1UM, ghost, Bare()), 300.0)
+        res = pressure(Geometry.identical(D_1UM, GHOST, Bare()), 300.0)
         ref = pressure(Geometry.identical(D_1UM, GE, Bare()), 300.0)
         assert abs(res.value) < 1e-20 * abs(ref.value)
 
@@ -360,7 +360,9 @@ class TestSumStats:
         # starting panels fitted to 2 u_n alone, the sweep took 58 passes in
         # 32 blocks for 175,644 nodes; with the tail as nested k-integrals,
         # and the 40 K sums direct, 32 passes for the same 175,644 nodes; with
-        # the polar tail and the panels in t, 36 passes for 135,282 nodes.
+        # the polar tail and the panels in t, 36 passes for 135,282 nodes;
+        # in w = sqrt(t), with the direct walk stopped after three small
+        # terms, 105,000 nodes and 26,649 as entropy() sums them.
         geom = Geometry.identical(D_1UM, GE, Drift())
         nodes = 0
         for T in (300.0, 150.0, 75.0, 40.0, 20.0, 10.0):
@@ -370,7 +372,7 @@ class TestSumStats:
                 assert st.passes == (2 if st.tail_rows else 1), (t, st)
                 assert (st.tail_rows > 0) == (T <= 40.0), (t, st)
                 nodes += st.nodes
-        assert abs(nodes - 105_000) <= 0.01 * 105_000
+        assert abs(nodes - 103_173) <= 0.01 * 103_173
         # as entropy() sums it: one call per point, its four columns on the
         # layout of the lowest temperature, 9 passes instead of 36.  Each
         # column integrates every node of the shared blocks and cells.
@@ -383,14 +385,16 @@ class TestSumStats:
             st = res[0].stats
             calls, passes, nodes = calls + 1, passes + st.passes, nodes + st.nodes
         assert (calls, passes) == (6, 9)
-        assert abs(nodes - 26_649) <= 0.01 * 26_649
+        assert abs(nodes - 26_208) <= 0.01 * 26_208
 
 
 # The engine's figures, bit for bit: float.hex of the value, the quadrature
 # and truncation estimates and the remainder, then every SumStats field.
-# They cover a one-pass direct sum (315 K), a direct sum refined in a second
-# pass (Si 77 K), tails that converge at once (10.5 K, the mixed plates) and
-# one refined in q (Conductivity at 0.1 um, 1 K: 19 of its 22 cells).  The
+# They cover one-pass direct sums (315 K, Si 77 K, Ge 10 um), a direct sum
+# that takes a follow-up block (near-vacuum plates, whose value is about
+# 4e-25 of the coef/a the first block is sized for), tails that converge at
+# once (10.5 K, the mixed plates) and one refined in q (Conductivity at
+# 0.1 um, 1 K: 19 of its 22 cells).  The
 # panel-limit note case is pinned in test_panel_limit_leaves_a_note.  The
 # bits hold for one BLAS build: _kronrod's matrix products give bits that
 # depend on a block's panel count (288 of 399 row prefixes of a random
@@ -399,12 +403,12 @@ class TestSumStats:
 FROZEN_SUMS = [
     ("ge-drift-315K-energy", Geometry.identical(D_1UM, GE, Drift()), 315.0,
      free_energy_per_area, ENTROPY_TOL,
-     ("-0x1.7e94824498a8fp-23", "0x1.75ce6958419aep-60", "0x1.7632c4147ca94p-71", "0x0.0p+0"),
-     (21, 25, 1701, 1, 81, 0)),
+     ("-0x1.7e948244987d6p-23", "0x1.75ce6958419a9p-60", "0x1.72219a0cfcd4cp-64", "0x0.0p+0"),
+     (19, 19, 1323, 1, 63, 0)),
     ("ge-drift-315K-pressure", Geometry.identical(D_1UM, GE, Drift()), 315.0,
      pressure, ENTROPY_TOL,
-     ("0x1.4269cfe2a82ddp-8", "0x1.82223cf9160f7p-46", "0x1.2d3bd95ac3b24p-57", "0x0.0p+0"),
-     (23, 25, 1701, 1, 81, 0)),
+     ("0x1.4269cfe2a81dap-8", "0x1.82223cf9160f3p-46", "0x1.27b2c80255464p-50", "0x0.0p+0"),
+     (21, 22, 1512, 1, 72, 0)),
     ("ge-drift-10.5K-energy", Geometry.identical(D_1UM, GE, Drift()), 10.5,
      free_energy_per_area, ENTROPY_TOL,
      ("-0x1.46a774521813ep-23", "0x1.425b9a3060a12p-62", "0x1.a595845836567p-65",
@@ -422,8 +426,8 @@ FROZEN_SUMS = [
      (16, 41, 21357, 4, 325, 14994)),
     ("si-nonlocal-77K-pressure", Geometry.identical(D_1UM, SI, Nonlocal()), 77.0,
      pressure, Tolerances(),
-     ("0x1.03289725e5a1ap-8", "0x1.ac89b8bd6347fp-47", "0x1.339a95dda1ca6p-42", "0x0.0p+0"),
-     (67, 72, 4746, 2, 226, 0)),
+     ("0x1.032897261b3a0p-8", "0x1.ac89b8bd65582p-47", "0x1.84cb43e07430ap-42", "0x0.0p+0"),
+     (70, 74, 4872, 1, 232, 0)),
     ("mixed-0.1um-300K-pressure", Geometry(0.1e-4, Plate(GE, Drift()), Plate(SI, Nonlocal())),
      300.0, pressure, Tolerances(),
      ("0x1.273f951efb2bdp+5", "0x1.eb533658a8344p-34", "0x1.3e4bfd1e5e8c4p-30",
@@ -431,8 +435,12 @@ FROZEN_SUMS = [
      (20, 41, 4704, 2, 144, 1764)),
     ("ge-bare-10um-300K-energy", Geometry.identical(10e-4, GE, Bare()), 300.0,
      free_energy_per_area, Tolerances(),
-     ("-0x1.90fe01239b24ep-31", "0x1.b8ad3a71b0040p-67", "0x1.05d84c53ba4d1p-142", "0x0.0p+0"),
-     (5, 11, 798, 1, 38, 0)),
+     ("-0x1.90fe01239aaabp-31", "0x1.b8ad3a71b003bp-67", "0x1.52e0c5be92847p-71", "0x0.0p+0"),
+     (2, 2, 231, 1, 11, 0)),
+    ("ghost-1um-300K-energy", Geometry.identical(D_1UM, GHOST, Bare()), 300.0,
+     free_energy_per_area, Tolerances(),
+     ("-0x1.a2273f1368a6cp-105", "0x1.04520c8cff864p-140", "0x1.a3128f2a4a8f7p-139", "0x0.0p+0"),
+     (52, 52, 3402, 2, 162, 0)),
 ]
 
 
@@ -501,6 +509,77 @@ class TestColumns:
     def test_no_temperature_is_refused(self):
         with pytest.raises(DomainError):
             free_energies(Geometry.identical(D_1UM, GE, Drift()), ())
+
+
+def _coef_and_a(kind, d, T):
+    """The sum's kB T/(8 pi d^2) (pressure: /d) and a = 2 d xi_1 / c."""
+    coef = phys.K_B * T / (8.0 * math.pi * d * d)
+    return (coef / d if kind == "pressure" else coef), 2.0 * d * phys.matsubara_xi(1, T) / phys.C_LIGHT
+
+
+class TestDirectStop:
+    """Short sums stop at the first N >= 1 where the passivity bound R(N) on
+    the terms past N is at most sum_rel |value|, and report R(N)."""
+
+    @pytest.mark.parametrize("a", [1e-3, 0.01, 0.1, 0.42, 1.0, 5.0])
+    @pytest.mark.parametrize("kind", ["energy", "pressure"])
+    def test_closed_form_is_the_bounds_summed(self, kind, a):
+        L = math.ceil(60.0 / a)  # leaves out below exp(-60) of the sum
+        for N in (0, 1, 10, 93):
+            got = 3.0 * lifshitz._passivity_tail(kind, a, float(N))
+            assert_close(got, passivity_bound_sum(kind, 3.0, a, N + 1, L), 1e-13, (kind, a, N))
+            own = math.fsum(passivity_bound(kind, 3.0, m * a, m * a)
+                            for m in range(N + 1, N + L + 1))
+            assert own <= got, (kind, a, N)
+
+    # every kept term lies below its own bound, and the stop is the first
+    # N >= 1 whose R(N) is at most sum_rel of the value it ends with
+    @pytest.mark.parametrize("spec, model, d, T", [
+        (GE, Drift(), D_1UM, 300.0),
+        (GE, IdealMetal(), D_1UM, 300.0),
+        (GE, Conductivity(2.09e10), 3e-4, 20.0),
+        (SI, Nonlocal(), D_1UM, 77.0)])
+    def test_kept_terms_lie_below_their_bounds(self, spec, model, d, T):
+        geom = Geometry.identical(d, spec, model)
+        for kind, op in (("energy", free_energy_per_area), ("pressure", pressure)):
+            coef, a = _coef_and_a(kind, d, T)
+            for tol in (Tolerances(), ENTROPY_TOL):
+                res = op(geom, T, tolerances=tol)
+                what = (model, kind, tol)
+                assert res.stats.tail_rows == 0 and res.stats.passes == 1, what
+                for n, te, tm in res.per_n_terms[1:]:
+                    assert abs(te) + abs(tm) <= passivity_bound(kind, coef, n * a, n * a), (n, what)
+                N, L = res.n_truncated_at, math.ceil(60.0 / a)
+                assert_close(res.truncation_error_estimate,
+                             passivity_bound_sum(kind, coef, a, N + 1, L), 1e-13, str(what))
+                assert res.truncation_error_estimate <= tol.sum_rel * abs(res.value), what
+                _, te, tm = res.per_n_terms[-1]
+                before = res.value - (te + tm)
+                assert passivity_bound_sum(kind, coef, a, N, L) > tol.sum_rel * abs(before), what
+
+    # Direct sums with n_expected <= 93 against every term to s = 52.  After
+    # three successive terms below sum_rel, the walk stopped up to 1.49
+    # sum_rel |value| from it (Ge/Conductivity, 3 um, 20 K, pressure); at the
+    # bound's stop each ends within 0.34 sum_rel, and the reported bound,
+    # with the quadrature estimate, covers the difference.
+    @pytest.mark.parametrize("T, d", [(300.0, D_1UM), (300.0, 10e-4), (77.0, D_1UM),
+                                      (40.0, 3e-4), (20.0, 3e-4)],
+                             ids=["300K-1um", "300K-10um", "77K-1um", "40K-3um", "20K-3um"])
+    @pytest.mark.parametrize("name, spec, model", [
+        ("Ge/Drift", GE, Drift()),
+        ("Ge/Conductivity", GE, Conductivity(2.09e10)),
+        ("Si/Nonlocal", SI, Nonlocal())])
+    def test_against_the_complete_sum(self, name, spec, model, T, d):
+        geom = Geometry.identical(d, spec, model)
+        for kind, op in (("energy", free_energy_per_area), ("pressure", pressure)):
+            complete = complete_matsubara_sum(kind, geom, T)
+            for tol in (Tolerances(), ENTROPY_TOL):
+                res = op(geom, T, tolerances=tol)
+                diff = abs(res.value - complete)
+                what = (name, kind, tol.sum_rel, diff / (tol.sum_rel * abs(res.value)))
+                assert res.stats.tail_rows == 0, what
+                assert diff <= tol.sum_rel * abs(res.value), what
+                assert res.truncation_error_estimate >= diff - res.quadrature_error_estimate, what
 
 
 class TestMatsubaraTail:
@@ -741,9 +820,9 @@ class TestEngineGuards:
         # and its figures bit for bit, as in TestFrozenBits
         assert (res.value.hex(), res.quadrature_error_estimate.hex(),
                 res.truncation_error_estimate.hex(), res.remainder.hex()) == (
-            "-0x1.757859e122b42p-23", "0x1.1bafb6b5c2e6dp-54", "0x1.8a0293b36c8eap-71",
+            "-0x1.757859e1228d7p-23", "0x1.1bafb6b5c2e6dp-54", "0x1.4bc40cccabbeep-64",
             "0x0.0p+0")
-        assert res.stats == SumStats(22, 26, 1701, 1, 81, 0)
+        assert res.stats == SumStats(20, 20, 1323, 1, 63, 0)
 
     @pytest.mark.parametrize("T", [315.0, 10.5])
     def test_shortened_window_moves_no_sum(self, monkeypatch, T):
@@ -783,15 +862,15 @@ class TestEngineGuards:
             assert (np.abs(tail) < 1e-16 * np.abs(term)).all(), (model, tail / term)
 
     def test_cap_refusal_carries_the_partial_sum(self, monkeypatch):
-        # 19 terms pass the upfront check at 1 um and 300 K but stop short
-        # of the 21 the tight sum needs
-        monkeypatch.setattr(lifshitz, "_N_CAP", 19)
+        # 72 terms pass the upfront check at 1 um and 77 K (2 d xi_72 / c =
+        # 30.4) but stop short of the 74 the tight sum needs
+        monkeypatch.setattr(lifshitz, "_N_CAP", 72)
         with pytest.raises(SummationError, match="hit the cap") as info:
-            free_energy_per_area(Geometry.identical(D_1UM, GE, Drift()), 300.0,
+            free_energy_per_area(Geometry.identical(D_1UM, GE, Drift()), 77.0,
                                  tolerances=TIGHT)
         partial = info.value.partial
-        assert partial.n_truncated_at == 19 and len(partial.per_n_terms) == 20
-        assert partial.stats.terms_kept == 20
+        assert partial.n_truncated_at == 72 and len(partial.per_n_terms) == 73
+        assert partial.stats.terms_kept == 73
 
     def test_non_finite_integral_is_refused(self, monkeypatch):
         def nan_amplitudes(model, spec, T):
@@ -968,6 +1047,28 @@ def test_halved_tolerances_move_no_sum_beyond_both_errors(spec, model):
                     what = (d_um, T, op.__name__, tol, a.value, b.value, errors)
                     assert abs(a.value - b.value) <= errors, what
                     assert a.warnings == b.warnings == (), what
+
+
+# Every direct sum of a 1,200-sum grid (Ge, Si; Bare, Drift, Nonlocal,
+# Conductivity(2.09e10), IdealMetal; 0.1-10 um; 300, 150, 77, 40, 20, 1 K;
+# energy and pressure; default and entropy tolerances) takes one block and
+# one pass: its first block, sized to the bound's stop for a value of coef/a,
+# holds the stop.  560 of the sums are direct.
+@pytest.mark.slow
+def test_direct_sums_take_one_pass():
+    direct = 0
+    for spec in (GE, SI):
+        for model in (Bare(), Drift(), Nonlocal(), Conductivity(2.09e10), IdealMetal()):
+            for d_um in (0.1, 0.3, 1.0, 3.0, 10.0):
+                geom = Geometry.identical(d_um * 1e-4, spec, model)
+                for T in (300.0, 150.0, 77.0, 40.0, 20.0, 1.0):
+                    for op in (free_energy_per_area, pressure):
+                        for tol in (Tolerances(), ENTROPY_TOL):
+                            st = op(geom, T, tolerances=tol).stats
+                            if st.tail_rows == 0:
+                                direct += 1
+                                assert st.passes == 1, (spec.name, model, d_um, T, op, tol, st)
+    assert direct == 560
 
 
 # The energy cases of the 1280-sum grid at the entropy tolerances, summed as

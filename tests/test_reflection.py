@@ -455,6 +455,27 @@ def test_drift_underflow_fails_alike_for_floats_and_arrays():
                 pair(xi, k)
 
 
+# The premise of the direct Matsubara sum's stop (casdrift.lifshitz): on
+# the imaginary axis every model is passive, |r_TM| <= 1 and |r_TE| <= 1,
+# for float and array calls alike and at the static xi = 0.  The maximum
+# is exactly 1 (IdealMetal, and Conductivity's static TM).
+@pytest.mark.parametrize("model", ALL_MODELS + [IdealMetal()], ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize("spec", [GE, SI], ids=["Ge", "Si"])
+def test_amplitudes_are_passive_on_matsubara_grids(spec, model):
+    ns = np.array([1.0, 2.0, 5.0, 20.0, 100.0, 1e3, 1e4])
+    for T in (0.1, 1.0, 10.0, 77.0, 300.0, 400.0):
+        pair = amplitude_fn(model, spec, T)
+        xis = ns * phys.matsubara_xi(1, T)
+        ks = np.logspace(-3.0, 8.0, 23)  # 1/cm; xi_1/c is 2.7/cm at 0.1 K and 1.1e4/cm at 400 K
+        for k in ks.tolist():
+            for xi in [0.0] + xis.tolist():
+                assert max(map(abs, pair(xi, k))) <= 1.0, (T, xi, k)
+        for r in pair(xis[:, None], ks):
+            assert (np.abs(r) <= 1.0).all(), T
+        for r in pair(0.0, ks):
+            assert (np.abs(r) <= 1.0).all(), T
+
+
 # Amplitudes on Ge at 300 K, pinned to the bit: r(xi, k) for
 # xi in (0.3, 1, 30) xi_1 and k in (1e2, 1e4, 1e6) 1/cm as (r_tm, r_te)
 # pairs, xi outer; then one array call at xi = [[0.5], [3], [20]] xi_1 and
