@@ -308,8 +308,8 @@ _NXI = Input("nxi", "n_xi", _count, "number of xi grid points (default 20)", "20
 COMMAND_INPUTS = {
     "materials": (_T,),
     "reflect": (_MODEL, _T, _SIGMA0, _XI, _K),
-    "energy": (_MODEL, _T, _D, *_TOLS, _SIGMA0),
-    "pressure": (_MODEL, _T, _D, *_TOLS, _SIGMA0),
+    "energy": (_MODEL, replace(_T, parse=_float_from_zero(True)), _D, *_TOLS, _SIGMA0),
+    "pressure": (_MODEL, replace(_T, parse=_float_from_zero(True)), _D, *_TOLS, _SIGMA0),
     "entropy": (_MODEL, _T, _D, *_ENTROPY_TOLS, _FD_STEP, _SIGMA0),
     "fig1": (_T, _D, *_TOLS, _SIGMA0),
     "nernst": (_MODEL, _ONE_D, *_ENTROPY_TOLS, _SIGMA0,

@@ -29,11 +29,10 @@ class EvaluationError(CasdriftError):
 
 
 class SummationError(CasdriftError):
-    """Matsubara summation failed; carries the partial result and diagnostics."""
+    """Matsubara summation failed; carries diagnostics."""
 
-    def __init__(self, message, partial=None, diagnostics=None):
+    def __init__(self, message, diagnostics=None):
         super().__init__(message)
-        self.partial = partial
         self.diagnostics = dict(diagnostics or {})
 
 

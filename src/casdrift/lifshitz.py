@@ -82,9 +82,10 @@ twice the next two terms, 2 (|G_8 Delta^8 f_M| + |G_9 Delta^9 f_M|): the
 omitted terms add up to as much as 1.63 times the two.  The head stops at
 the first M where the estimate is at most ``sum_rel``/2 of the running
 value.  J is taken in Lifshitz's polar form (``_tail_integral``), held
-to ``quad_rel``; its error joins the quadrature estimate, and from
-s_M = 0 it gives the T = 0 energy hbar c J / (32 pi^2 d^3).  ``value``
-is the ordered sum of the head's terms n < M plus this remainder.
+to ``quad_rel``; its error joins the quadrature estimate.  ``value``
+is the ordered sum of the head's terms n < M plus this remainder.  At
+T = 0 the tail from s_M = 0 is the sum, with coef/a at its limit
+hbar c/(32 pi^2 d^3) (pressure: d^4); ``amplitude_fn`` sets each model's T = 0.
 
 Each :class:`Plate` binds its material and its reflection model; every
 operation reads the model from there.  :func:`g_mode` forms the mode
@@ -126,7 +127,6 @@ __all__ = [
 _T_WINDOW = 60.0          # the static term's t-window: exp(-60) ~ 9e-27
 _T_END = 45.0             # n >= 1: exp(-45) ~ 2.9e-20, 45^2 exp(-45) ~ 6e-17
 _HALVINGS = 8             # n >= 1: most halvings of [0, 2] toward w = sqrt(t) = 0
-_N_CAP = 2_000_000        # hard Matsubara cap (see design notes)
 _PANEL_LIMIT = 300        # G-K panels per Matsubara term
 _BLOCK_MAX = 256          # Matsubara terms n >= 1 per direct block: bounds the arrays of one pass
 _HEAD_BLOCK = 64          # most terms n >= 1 in the first block of a sum that may take the tail
@@ -218,7 +218,8 @@ class SummationResult:
     ``value`` equals the plain ordered sum of the parts plus ``remainder``.
     ``truncation_error_estimate`` is the passivity bound on the terms past
     ``n_truncated_at`` (direct sums) or twice the next two terms of Gregory's
-    correction (tail sums).  Units are erg/cm^2 and dyn/cm^2.
+    correction (tail sums); a T = 0 sum has no terms, ``n_truncated_at`` -1
+    and a truncation estimate of 0.  Units are erg/cm^2 and dyn/cm^2.
     """
 
     value: float
@@ -557,25 +558,26 @@ def _tail_integral(kind: str, d: float, s0s, pairs, quad_rel: float):
     u = s0 + v, s = s0 + v q, xi = s c/(2 d), k = sqrt(v (1 - q) (2 s0 + v (1 + q)))/(2 d)
     (Lifshitz, Sov. Phys. JETP 2, 73, 1956); v > 45 adds below exp(-45).
     Each cell is a K21 x K21 rule, its error the G-K error in v plus the
-    q-rules' errors under the v-weights; a pass's new cells are one
-    integrand call per column j, from s0s[j] with pairs[j].  The columns
-    share the cells.  They start on the v-panels _TAIL_PANELS, the first
-    halved while wider than 8 min(s0s) (F is not analytic at s = 0), with q
-    in [0, 1].  While a column's summed error exceeds quad_rel |J|, each
-    cell above its share in any column splits in v or in q, whichever part
-    of the error is larger in the column furthest above its share; a
-    q-split at q = 0 cuts at 1/8, as where r_TM -> 1 (xi < 4 pi
-    sigma0/eps0) the integrand varies on the scale s0/v there (188k nodes
-    over 20 Conductivity tails, 331k halved).  Non-finite nodes are
-    refused; a rule that cannot split or has _TAIL_CELL_LIMIT cells stops
-    with a note for each column above its target.  The first pass's nodes
-    depend on s0 only through the halvings and are cached per layout, and
-    the cell table is built only if that pass fails: such a pass (1,764
-    nodes) costs 180 us, 225 us building both (one Xeon core).  Returns
-    (J, errors, notes) per column and (nodes, passes, cells) of one column.
+    q-rules' errors under the v-weights; a pass's new cells are one integrand
+    call per column j, from s0s[j] with pairs[j].  The columns share the cells.
+    They start on the v-panels _TAIL_PANELS, the first halved while wider than
+    8 min(s0s) (F is not analytic at s = 0) unless min(s0s) < sqrt(eps), where
+    that is below roundoff (halved at 1e-200 K, k^2 and (xi/c)^2 underflowed to
+    0/0), with q in [0, 1].  While a column's summed error exceeds quad_rel
+    |J|, each cell above its share in any column splits in v or in q, whichever
+    part of the error is larger in the column furthest above its share; a
+    q-split at q = 0 cuts at 1/8, as where r_TM -> 1 (xi < 4 pi sigma0/eps0)
+    the integrand varies on the scale s0/v there (188k nodes over 20
+    Conductivity tails, 331k halved).  Non-finite nodes are refused; a rule
+    that cannot split or has _TAIL_CELL_LIMIT cells stops with a note for each
+    column above its target.  The first pass's nodes depend on s0 only through
+    the halvings and are cached per layout, and the cell table is built only if
+    that pass fails: such a pass (1,764 nodes) costs 180 us, 225 us building
+    both (one Xeon core).  Returns (J, errors, notes) per column and (nodes,
+    passes, cells) of one column.
     """
     first, s_min = _TAIL_PANELS[1], min(s0s)
-    halvings = max(math.ceil(math.log2(first / (8.0 * s_min))), 0) if s_min > 0.0 else 0
+    halvings = max(math.ceil(math.log2(first / (8.0 * s_min))), 0) if s_min > _EPS ** 0.5 else 0
     edges = (0.0,) + tuple(first * 0.5 ** h for h in range(halvings, 0, -1)) + _TAIL_PANELS[1:]
     new, half, v, vq, t = _tail_first_grid(edges)
     cells = None  # v- and q-bounds, then each column's value, v- and q-error, once a pass fails
@@ -623,14 +625,8 @@ def _tail_integral(kind: str, d: float, s0s, pairs, quad_rel: float):
 
 
 def _check_temperature(T: float) -> None:
-    if not math.isfinite(T) or T <= 0.0:
-        raise DomainError(f"temperature must be finite and positive, got {T!r}")
-
-
-def _range_warnings(T: float) -> list:
-    if T > T_VALID_MAX:
-        return [f"T = {T} K outside material-model validity (0, {T_VALID_MAX}] K"]
-    return []
+    if not math.isfinite(T) or T < 0.0:
+        raise DomainError(f"temperature must be finite and >= 0, got {T!r}")
 
 
 class _Column:
@@ -641,22 +637,20 @@ class _Column:
 
     def __init__(self, kind: str, geom: Geometry, T: float):
         _check_temperature(T)
-        d, xi1 = geom.d, phys.matsubara_xi(1, T)
-        # even with |r| = 1 the summand carries exp(-2 d xi_n / c); if that factor
-        # cannot reach ~1e-13 within the cap, refuse upfront with guidance.
-        if 2.0 * d * xi1 * _N_CAP / phys.C_LIGHT < 30.0:
-            raise SummationError(
-                f"exp(-2 d xi_n / c) stays above 1e-13 past the {_N_CAP}-term "
-                f"Matsubara cap at T={T} K, d={d} cm; raise T or increase d (the "
-                "T -> 0 limit of the sum is not implemented)",
-                diagnostics={"T": T, "d": d, "n_cap": _N_CAP},
-            )
-        self.T, self.pair_fns, self.a = T, _pair_fns(geom, T), 2.0 * d * xi1 / phys.C_LIGHT
+        d, xi1 = geom.d, phys.matsubara_xi(1, T) if T else 0.0
+        self.a = 2.0 * d * xi1 / phys.C_LIGHT
         self.coef = phys.K_B * T / (8.0 * math.pi * d * d)
         if kind == "pressure":
             self.coef /= d
+        # a subnormal one loses digits (kB T: P at 1 um off by 1.7e-6 at 1e-302 K)
+        factors = (phys.K_B * T, self.a, self.coef)
+        if T and not min(factors) >= np.finfo(float).tiny:  # before the providers
+            raise DomainError(f"T = {T!r} K, d = {d} cm: kB T, a, coef {factors} not all normal")
+        self.T, self.pair_fns = T, _pair_fns(geom, T)
         self.acc = self.quad_err = self.next_order = 0.0
-        self.per_n, self.terms, self.warnings = [], [], _range_warnings(T)
+        self.per_n, self.terms = [], []
+        self.warnings = ([f"T = {T} K outside material-model validity (0, {T_VALID_MAX}] K"]
+                         if T > T_VALID_MAX else [])
 
     def walk(self, block, i_end: int, lead: bool, sum_rel: float) -> int:
         """Walk rows self.row..i_end - 1 of a block and return the last: a leading
@@ -712,32 +706,36 @@ def _matsubara_sums(kind: str, geom: Geometry, Ts, tolerances: Optional[Toleranc
     if not Ts:
         raise DomainError("no temperature to sum at")
     columns = [_Column(kind, geom, T) for T in Ts]
+    if 0.0 in Ts:  # the head is empty: the tail from s = 0 is the whole sum
+        if len(Ts) > 1:
+            raise DomainError(f"T = 0 is summed alone, not among {Ts!r}")
+        return _tail_sums(kind, d, columns, 0, (0, 0, 0, 0), tol.quad_rel)
     i_low = Ts.index(min(Ts))
     low = columns[i_low]  # its terms decay the slowest: it sets the layout
     pairs = [col.pair_fns for col in columns]
     counts = [0, 0, 0, 0]  # terms computed, nodes, passes, panels
-    # the n where exp(-2 d xi_n / c) falls below sum_rel
-    n_expected = math.ceil(math.log(1.0 / sum_rel) * phys.C_LIGHT
-                           / (2.0 * d * phys.matsubara_xi(1, low.T)))
     # a sum expected to outlast one head block and the _TAIL_TERMS terms
     # the tail's first pass is worth walks its "head" in blocks, and ends in
-    # the tail once the next terms of Gregory's correction are small.  The
-    # threshold counts nodes; it was set so low when the direct walk ended
+    # the tail once the next terms of Gregory's correction are small; it is
+    # expected to run to the n where exp(-2 d xi_n / c) falls below sum_rel.
+    # The threshold counts nodes; it was set so low when the direct walk ended
     # 2.5-4 sum_rel short of the complete sum at 94-168 terms.
     # The nernst point at 40 K: head and tail take 0.71 of a walk's time (one Xeon core)
-    head = n_expected > _HEAD_BLOCK + 1 + _TAIL_TERMS
+    head = (math.log(1.0 / sum_rel) * phys.C_LIGHT / (2.0 * d * phys.matsubara_xi(1, low.T))
+            > _HEAD_BLOCK + 1 + _TAIL_TERMS)
     # the first head block reaches 10 terms past M_s, where Gregory's stop is
     # met by a summand F0 exp(-a n) with acc = F0/a, or past n = 30 for the
     # s^2 ln s regime near s = 0; over 1,920 tail sums M ran at most 1 past
     # max(M_s, 30) for energies and 5 for pressures, which take one more block
-    m_s = math.ceil(math.log(4.0 * abs(_GREGORY[8]) * low.a ** 9 / sum_rel) / low.a)
+    log_f = math.log(4.0 * abs(_GREGORY[8]) / sum_rel) + 9.0 * math.log(low.a)  # a^9 underflows
+    m_s = math.ceil(max(log_f / low.a, 30.0))  # a -inf M_s takes the floor
     n_next = 0
     T_col, coef_col, a_col = np.array([(col.T, col.coef, col.a) for col in columns]).T[..., None]
     while True:
         size = _BLOCK_MAX + (n_next == 0)
         if head:
-            size = min(_HEAD_BLOCK, max(m_s, 30) + 10) + 1 if n_next == 0 else _HEAD_NEXT
-        ns = np.arange(n_next, min(n_next + size, _N_CAP + 1), dtype=float)
+            size = min(_HEAD_BLOCK, m_s + 10) + 1 if n_next == 0 else _HEAD_NEXT
+        ns = np.arange(n_next, n_next + size, dtype=float)
         bounds = (None,) * len(columns)
         if not head:  # up to the lead column's stop for its |acc| (coef/a before any term)
             bound = coef_col * _passivity_tail(kind, a_col, ns)
@@ -767,34 +765,33 @@ def _matsubara_sums(kind: str, geom: Geometry, Ts, tolerances: Optional[Toleranc
         n = n_next + i
         if met:
             break
-        if n >= _N_CAP:
-            low.next_order = math.inf
-            raise SummationError(
-                f"Matsubara sum hit the cap ({_N_CAP} terms) without "
-                "converging; raise T or increase d",
-                partial=low.result(n, SumStats(len(low.per_n), *counts)),
-                diagnostics={"T": low.T, "d": d, "n": n},
-            )
         n_next += len(ns)
 
     if not head:
         return tuple([col.result(n, SumStats(len(col.per_n), *counts)) for col in columns])
+    return _tail_sums(kind, d, columns, n - 9, counts, tol.quad_rel)
 
+
+def _tail_sums(kind: str, d: float, columns, m: int, counts, quad_rel: float) -> tuple:
+    """Each column's head terms n < m plus its tail from n = m; ``counts`` is
+    the head's work (terms computed, nodes, passes, panels); m = 0 at T = 0."""
     # Sum_{n >= M} f(n) = (1/a) Int_{s_M}^oo F(s) ds + Gregory's correction,
     # with s = 2 d xi / c = a n and F the summand at xi = s c / (2 d)
-    m = n - 9
     J, J_err, tail_notes, (nodes, passes, cells) = _tail_integral(
-        kind, d, [m * col.a for col in columns], pairs, tol.quad_rel)
+        kind, d, [m * col.a for col in columns], [col.pair_fns for col in columns], quad_rel)
     stats = SumStats(m, counts[0], counts[1] + nodes, counts[2] + passes, counts[3] + cells, nodes)
     results = []
     for col, j, j_err, notes_j in zip(columns, J, J_err, tail_notes):
         col.warnings.extend(notes_j)
-        remainder = _gregory(col.terms[m:m + 8]) + col.coef / col.a * j
+        # coef/a, or at T = 0 its limit hbar c/(32 pi^2 d^3) (pressure: d^4)
+        per_s = col.coef / col.a if col.a else phys.HBAR * phys.C_LIGHT / (
+            32.0 * math.pi**2 * d**3 * (d if kind == "pressure" else 1.0))
+        remainder = (_gregory(col.terms[m:m + 8]) if m else 0.0) + per_s * j
         head_sum = 0.0
         for term in col.terms[:m]:
             head_sum += term
         col.acc, col.per_n = head_sum + remainder, col.per_n[:m]
-        col.quad_err += col.coef / col.a * j_err
+        col.quad_err += per_s * j_err
         results.append(col.result(m - 1, stats, remainder))
     return tuple(results)
 
@@ -804,7 +801,7 @@ def _matsubara_sums(kind: str, geom: Geometry, Ts, tolerances: Optional[Toleranc
 def free_energy_per_area(geom: Geometry, T: float,
                          tolerances: Optional[Tolerances] = None
                          ) -> SummationResult:
-    """Casimir-Lifshitz free energy per area [erg/cm^2] (negative, binding)."""
+    """Casimir-Lifshitz free energy per area [erg/cm^2] (negative, binding), T >= 0."""
     return _matsubara_sums("energy", geom, (T,), tolerances)[0]
 
 
@@ -813,14 +810,15 @@ def free_energies(geom: Geometry, temperatures,
     """Free energies per area [erg/cm^2] at several temperatures, from one walk.
 
     The sums share the lowest temperature's layout and stop (see the module
-    notes); one temperature gives ``free_energy_per_area``'s result.
+    notes); one temperature gives ``free_energy_per_area``'s result.  A 0
+    among several temperatures is a DomainError: T = 0 has no terms to share.
     """
     return _matsubara_sums("energy", geom, tuple(temperatures), tolerances)
 
 
 def pressure(geom: Geometry, T: float,
              tolerances: Optional[Tolerances] = None) -> SummationResult:
-    """Casimir-Lifshitz pressure [dyn/cm^2]; positive = attraction.
+    """Casimir-Lifshitz pressure [dyn/cm^2]; positive = attraction; T >= 0.
 
     Equals the d-derivative of the free energy per area.
     """

@@ -208,11 +208,11 @@ def carrier_density(spec: MaterialSpec, T: float) -> float:
     """Intrinsic carrier density n0(T) [cm^-3].
 
     sqrt(n_c n_v) exp(-E_g / 2 kB T) with n_c, n_v ~ T^{3/2}; doubled when
-    the material treats electrons and holes as equivalent carriers.  T <= 0
-    is a domain error; the T -> 0 limit (0) is the caller's responsibility.
+    the material treats electrons and holes as equivalent carriers.  T <= 0, or
+    kB T subnormal (below 1.6e-292 K), is a domain error; T = 0 is amplitude_fn's.
     """
-    if not math.isfinite(T) or T <= 0.0:
-        raise DomainError(f"temperature must be finite and positive, got {T!r}")
+    if not (math.isfinite(T) and phys.K_B * T >= np.finfo(float).tiny):
+        raise DomainError(f"temperature must be finite, kB T normal and > 0, got {T!r}")
     n_c = spec.nc_prefactor * T**1.5
     n_v = spec.nv_prefactor * T**1.5
     kT_eV = phys.K_B * T / phys.ERG_PER_EV

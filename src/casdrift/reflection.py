@@ -271,7 +271,8 @@ def amplitude_fn(model: ReflectionModel, spec: MaterialSpec, T: float) -> Callab
     one wavevector-stage body serves both.  The static branch is taken for
     a float ``xi == 0``, so an array ``xi`` must hold positive frequencies
     only.  Amplitudes that do not depend on k (the static TE zero, the
-    ideal metal) come back as floats.
+    ideal metal) come back as floats.  At T = 0, where they have no carriers,
+    ``Drift`` and ``Nonlocal`` return ``Bare``'s provider.
     """
     perm = spec.permittivity
     at, eps0 = perm.at, perm.eps0
@@ -290,6 +291,8 @@ def amplitude_fn(model: ReflectionModel, spec: MaterialSpec, T: float) -> Callab
 
     if not isinstance(model, (Drift, Nonlocal)):
         raise DomainError(f"unknown reflection model {model!r}")
+    if T == 0.0:  # n0 = 0; Bare, Conductivity and IdealMetal do not depend on T
+        return amplitude_fn(Bare(), spec, 0.0)
     state = material_state(spec, T)
     kappa = state.kappa
     if isinstance(model, Drift):

@@ -13,8 +13,7 @@ four separate sums.  Analytic low-temperature
 decompositions are deliberately not implemented; sweeps report the Nernst
 statement as a trend, and the test suite holds bare and drift plates to
 E(T) - E(0) -> C T^3, C = -zeta(3) (eps0 - 1)^2 kB^3/(4 pi (eps0 + 1) (hbar c)^2),
-so S -> 3 |C| T^2, with E(0) from the engine's xi-integral from s = 0.  The
-2e6-term Matsubara cap refuses a sum only below about 3 mK at 1 um.  The
+so S -> 3 |C| T^2, with E(0) = ``free_energy_per_area(geom, 0.0)``.  The
 test suite also probes the mode function near xi = 0 at fixed k (TE
 vanishes as xi^2 with a negative coefficient, TM rises linearly in xi).
 The reflection models are those bound on the geometry's plates.

@@ -31,11 +31,6 @@ library result by an independent route:
 * :func:`nernst_law` -- the T^3 law of E(T) - E(0) for bare or drift
   plates.
 
-:func:`zero_temperature_energy` is not independent: it is the engine's
-own tail integral taken from s = 0, pinned by the 13-digit Ge/bare
-reference.  The law needs E(0) to about 1e-14 of itself at 0.03 K, more
-than those 13 digits give.
-
 The rest are verification helpers that only the tests call: the (xi, k)
 evaluation point :class:`Mode` the record-style helpers take, the drift
 quantities and H-functions as records (:func:`drift_quantities`,
@@ -638,19 +633,6 @@ def nernst_law(spec: MaterialSpec) -> float:
     eps0 = spec.permittivity.eps0
     hc = phys.HBAR * phys.C_LIGHT
     return -ZETA3 * (eps0 - 1.0) ** 2 * phys.K_B**3 / (4.0 * math.pi * (eps0 + 1.0) * hc * hc)
-
-
-def zero_temperature_energy(d: float, spec: MaterialSpec, quad_rel: float = 1e-12) -> float:
-    """E(0) = hbar c J / (32 pi^2 d^3) of two bare plates [erg/cm^2].
-
-    J is the engine's own tail integral from s = 0, the limit of
-    (1/a) Sum'_n F(n a) as a = 2 d xi_1 / c -> 0, so E(T) - E(0) takes
-    both sides from the engine; the Ge/bare 1 um reference pins this value.
-    Drift plates carry no carriers at T = 0 and have the same E(0).
-    """
-    pair = amplitude_fn(Bare(), spec, 1.0)  # bare amplitudes do not depend on T
-    J = lifshitz._tail_integral("energy", d, [0.0], [(pair, pair)], quad_rel)[0][0]
-    return phys.HBAR * phys.C_LIGHT * J / (32.0 * math.pi**2 * d**3)
 
 
 def _n0_term(res) -> float:

@@ -131,11 +131,39 @@ def test_bad_tolerance_exits_2(capsys):
     assert rc == 2
 
 
-def test_numerical_failure_exits_3(capsys):
-    rc, _, err = run_cli(capsys, "energy", "--material", "Ge", "--model",
-                         "drift", "--T", "0.001", "--d", "0.5")
-    assert rc == 3
-    assert "raise T" in err
+def _energy_at(capsys, model, T, *flags):
+    rc, out, _ = run_cli(capsys, "energy", "--material", "Ge", "--model", model,
+                         "--T", T, "--d", "0.5", *flags)
+    assert rc == 0
+    meta, header, rows, _ = parse_csv(out)
+    return meta, rows[0][header.index("E_erg_cm2")]
+
+
+def test_millikelvin_energy_lies_within_sum_rel_of_zero_temperature(capsys):
+    meta, e = _energy_at(capsys, "drift", "0.001")
+    _, e0 = _energy_at(capsys, "drift", "0")
+    assert abs(float(e) - float(e0)) <= float(meta["tol_sum"]) * abs(float(e0))
+
+
+def test_energy_at_zero_temperature_drift_writes_bare(capsys):
+    # no carriers at T = 0
+    meta, e_drift = _energy_at(capsys, "drift", "0")
+    assert meta["T_K"] == "0.0"
+    assert e_drift == _energy_at(capsys, "bare", "0")[1]
+
+
+def test_pressure_at_zero_temperature(capsys):
+    rc, out, _ = run_cli(capsys, "pressure", "--material", "Ge", "--T", "0", "--d", "1")
+    _, header, rows, _ = parse_csv(out)
+    assert rc == 0 and float(rows[0][header.index("P_dyn_cm2")]) > 0.0
+    assert rows[0][header.index("n_terms")] == "0"
+
+
+@pytest.mark.parametrize("command", ["materials", "reflect", "entropy", "fig1",
+                                     "nonlocal-verify"])
+def test_only_energy_and_pressure_take_zero_temperature(command, capsys):
+    rc, out, err = run_cli(capsys, command, "--material", "Ge", "--T", "0")
+    assert rc == 2 and "--T" in err and out == ""
 
 
 @pytest.mark.parametrize("model, T, xi, k", [

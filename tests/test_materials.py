@@ -177,6 +177,12 @@ class TestTemperatureBehaviour:
         with pytest.raises(DomainError):
             carrier_density(GE, 0.0)
 
+    @pytest.mark.parametrize("T", [1e-300, 1e-310, 5e-324])
+    def test_subnormal_kT_is_a_domain_error(self, T):
+        # kB T underflows: no ZeroDivisionError reaches the caller
+        with pytest.raises(DomainError, match="kB T normal"):
+            material_state(GE, T)
+
 
 def test_get_material():
     assert get_material("Ge") is GE

@@ -208,6 +208,13 @@ class TestIdealDielectricReduction:
                 assert_close(rd[0], rb[0], 1e-10, what=f"TM k={k:.2e} xi={xi:.2e}")
                 assert_close(rd[1], rb[1], 1e-10, what=f"TE k={k:.2e} xi={xi:.2e}")
 
+    def test_carrier_models_at_zero_temperature_are_bare(self):
+        # n0 = 0 at T = 0: the carrier models hand back Bare's cached provider
+        for spec in (GE, SI):
+            bare = amplitude_fn(Bare(), spec, 0.0)
+            assert amplitude_fn(Drift(), spec, 0.0) is bare
+            assert amplitude_fn(Nonlocal(), spec, 0.0) is bare
+
     def test_bare_is_conductivity_zero_bit_for_bit(self):
         # Conductivity(0) adds exact zeros to eps and X, so Fresnel's
         # exact-X form must give Bare's numbers bit for bit

@@ -10,7 +10,7 @@ from casdrift.reflection import Bare, Drift
 from casdrift.thermo import ENTROPY_TOL, entropy, nernst_sweep
 
 from conftest import assert_close
-from oracles import g_probe, nernst_law, zero_temperature_energy
+from oracles import g_probe, nernst_law
 
 D_1UM = 1e-4
 XI1 = phys.matsubara_xi(1, 300.0)
@@ -151,19 +151,19 @@ class TestNernstSweep:
 
 class TestNernstLaw:
     # The paper's Nernst claim as a law: E(T) - E(0) -> C T^3 for bare and
-    # drift plates, C from eps0 alone, with E(0) the engine's own tail at s = 0.
-    # Read 0.9964-0.9997 (Ge) and 0.9977-0.9989 (Si); at 1 K the T^4 d
+    # drift plates, C from eps0 alone, with E(0) the sum at T = 0.
+    # Read 0.9964-0.9997 (Ge) and 0.9977-0.9997 (Si); at 1 K the T^4 d
     # term takes 2-4% at 1 um.
     def test_zero_temperature_energy(self):
         # the Ge/bare reference at 1 um, known to 13 digits
-        assert_close(zero_temperature_energy(D_1UM, GE), -1.521072431148e-7, 1e-12)
+        geom = Geometry.identical(D_1UM, GE, Bare())
+        assert_close(free_energy_per_area(geom, 0.0).value, -1.521072431148e-7, 1e-12)
 
     @pytest.mark.parametrize("T", [0.1, 0.03])
     @pytest.mark.parametrize("spec", [GE, SI], ids=["Ge", "Si"])
     def test_energy_follows_the_t_cubed_law(self, spec, T):
-        e0 = zero_temperature_energy(D_1UM, spec)
         for model in (Bare(), Drift()):
-            e = free_energy_per_area(Geometry.identical(D_1UM, spec, model), T,
-                                     tolerances=ENTROPY_TOL).value
+            geom = Geometry.identical(D_1UM, spec, model)
+            e0, e = (free_energy_per_area(geom, t, tolerances=ENTROPY_TOL).value for t in (0.0, T))
             ratio = (e - e0) / T**3 / nernst_law(spec)
             assert abs(ratio - 1.0) <= 0.02, (spec.name, model, T, ratio)
