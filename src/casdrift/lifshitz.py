@@ -58,10 +58,14 @@ repeated runs are bit-identical; ``SummationResult.stats`` counts the work.
 Several temperatures are summed as columns of one walk
 (``free_energies``).  The lowest, whose terms decay the slowest, sets the
 layout: the blocks, the route, the start panels and the tail's first
-cells.  Each column makes its own integrand and quadrature calls on it, a
-panel or cell splits if any column asks, and the walk stops at the first
-n where every column's stop test holds, so the columns keep the same
-terms.  One column is the single sum, bit for bit.
+cells.  Each column makes its own integrand and quadrature calls on it,
+and a panel or cell splits if any column asks.  Each column appends a
+block's rows (its terms, running sums and bounds) at once, and one loop
+over the block's n stops at the first n where every column's stop test
+holds, the lowest temperature's tried first; so the columns keep the same
+terms, and a higher temperature may set the stop.  One column is the
+single sum, bit for bit.  A non-finite integrand value is refused in the
+Gauss-Kronrod pass that makes it, rows past the stop included.
 
 A long sum, one expected to outlast a head block of 64 terms and the 28
 terms the tail's first pass is worth, ends in an xi-integral instead.
@@ -100,7 +104,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+import sys
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -417,6 +424,9 @@ def _block_integrals(kind: str, d: float, xis, pairs, quad_rel: float):
     started from the lowest frequencies' u_n, and a panel splits if any
     column asks for it; each column makes its own integrand and _kronrod
     calls, so its bits are those of a one-column block on that layout.
+    Every pass refuses a non-finite panel value of any column, at its
+    term's xi: as every K21 weight is positive, a non-finite node makes its
+    panel's value non-finite before a split could drop the panel.
 
     Each row of xis holds positive frequencies, optionally led by 0.0, the
     static n = 0 term.  The static row's new panels lead each pass's
@@ -451,6 +461,8 @@ def _block_integrals(kind: str, d: float, xis, pairs, quad_rel: float):
                 _integrand(kind, d, xi[r], u[r], t[lead:], pair1, pair2, f[:, lead:])
             f *= dt_dw
             _kronrod(f, half, (v[:, j], e[:, j]))
+            if not math.isfinite(v[:, j].sum()):  # so does a non-finite panel value
+                _refuse_non_finite(kind, xi[new_row], v[:, j])
         nodes, passes = nodes + t.size, passes + 1
         if passes > 1:  # a refining pass: the kept panels lead
             row = np.concatenate((row, new_row))
@@ -630,10 +642,14 @@ def _check_temperature(T: float) -> None:
 
 
 class _Column:
-    """One temperature's sum: its providers and weights, and the walk's state."""
+    """One temperature's sum: its providers and weights, and its rows so far.
 
-    __slots__ = ("T", "pair_fns", "coef", "a", "acc", "quad_err", "next_order",
-                 "per_n", "terms", "warnings", "row", "met")
+    Row n holds term n's TM and TE parts, their sum and, in a direct sum,
+    the bound R(n); ``acc[n + 1]`` and ``quad_err[n + 1]`` run through row n.
+    """
+
+    __slots__ = ("T", "pair_fns", "coef", "a", "tm", "te", "terms", "bound", "acc",
+                 "quad_err", "notes", "warnings")
 
     def __init__(self, kind: str, geom: Geometry, T: float):
         _check_temperature(T)
@@ -644,49 +660,40 @@ class _Column:
             self.coef /= d
         # a subnormal one loses digits (kB T: P at 1 um off by 1.7e-6 at 1e-302 K)
         factors = (phys.K_B * T, self.a, self.coef)
-        if T and not min(factors) >= np.finfo(float).tiny:  # before the providers
+        if T and not min(factors) >= sys.float_info.min:  # before the providers
             raise DomainError(f"T = {T!r} K, d = {d} cm: kB T, a, coef {factors} not all normal")
         self.T, self.pair_fns = T, _pair_fns(geom, T)
-        self.acc = self.quad_err = self.next_order = 0.0
-        self.per_n, self.terms = [], []
-        self.warnings = ([f"T = {T} K outside material-model validity (0, {T_VALID_MAX}] K"]
-                         if T > T_VALID_MAX else [])
+        self.tm, self.te, self.terms, self.bound, self.notes = [], [], [], [], []
+        self.acc, self.quad_err = [0.0], [0.0]
+        self.warnings = ((f"T = {T} K outside material-model validity (0, {T_VALID_MAX}] K",)
+                         if T > T_VALID_MAX else ())
 
-    def walk(self, block, i_end: int, lead: bool, sum_rel: float) -> int:
-        """Walk rows self.row..i_end - 1 of a block and return the last: a leading
-        column stops where its own stop test holds, others test their last row:
-        Gregory's estimate in a head block, the bound R(n) in a direct one."""
-        kind, n_next, tm_j, te_j, err_j, notes_j, xi_j, vals_j, bound_j = block
-        acc, quad_err, met = self.acc, self.quad_err, False
-        per_n, terms = self.per_n, self.terms
-        for i in range(self.row, i_end):
-            n = n_next + i
-            tm_part, te_part = tm_j[i], te_j[i]
-            term = te_part + tm_part
-            if not math.isfinite(term):
-                _refuse_non_finite(kind, xi_j[i:i + 1], vals_j[:, i:i + 1])
-            per_n.append((n, te_part, tm_part))
-            quad_err += err_j[i]
-            if notes_j:
-                self.warnings.extend(notes_j.get(i, ()))
-            acc += term
-            if bound_j is None:
-                terms.append(term)
-                # Gregory's formula at M = n - 9 reads f_M..f_n
-                if n >= _HEAD_MIN + 9 and (lead or i == i_end - 1):
-                    self.next_order = _gregory_next(terms[n - 9:])
-                    met = self.next_order <= 0.5 * sum_rel * abs(acc)
-            elif n >= 1:
-                self.next_order = bound_j[i]
-                met = self.next_order <= sum_rel * abs(acc)
-            if lead and met:
-                break
-        self.row, self.acc, self.quad_err, self.met = i + 1, acc, quad_err, met
-        return i
+    def add(self, tm, te, err, notes, bound) -> None:
+        """Append a block's rows; ``notes`` maps a block row to its texts."""
+        n0, terms = len(self.terms), list(map(operator.add, te, tm))  # TE + TM
+        self.tm += tm
+        self.te += te
+        self.terms += terms
+        self.bound += bound
+        # from the last running value, in row order: the bits of a running +=
+        self.acc.extend(accumulate(terms, initial=self.acc.pop()))
+        self.quad_err.extend(accumulate(err, initial=self.quad_err.pop()))
+        if notes:
+            self.notes += [(n0 + i, notes[i]) for i in sorted(notes)]
 
-    def result(self, n_last: int, stats: SumStats, remainder: float = 0.0) -> SummationResult:
-        return SummationResult(self.acc, tuple(self.per_n), n_last, self.quad_err,
-                               self.next_order, tuple(self.warnings), stats, remainder)
+    def met(self, n: int, head: bool, sum_rel: float) -> bool:
+        """The stop test at row n: Gregory's estimate in a head, R(n) in a direct sum."""
+        if head:  # Gregory's formula at M = n - 9 reads f_M..f_n
+            return (n >= _HEAD_MIN + 9 and _gregory_next(self.terms[n - 9:n + 1])
+                    <= 0.5 * sum_rel * abs(self.acc[n + 1]))
+        return n >= 1 and self.bound[n] <= sum_rel * abs(self.acc[n + 1])
+
+    def result(self, m: int, n: int, value: float, quad_err: float, trunc: float,
+               stats: SumStats, remainder: float = 0.0, tail_notes=()) -> SummationResult:
+        """The sum with terms n < m, stopped at row n: the notes of rows past it are dropped."""
+        kept = [text for i, texts in self.notes if i <= n for text in texts]
+        return SummationResult(value, tuple(zip(range(m), self.te, self.tm)), m - 1, quad_err,
+                               trunc, (*self.warnings, *kept, *tail_notes), stats, remainder)
 
 
 def _passivity_tail(kind: str, a, ns):
@@ -709,7 +716,7 @@ def _matsubara_sums(kind: str, geom: Geometry, Ts, tolerances: Optional[Toleranc
     if 0.0 in Ts:  # the head is empty: the tail from s = 0 is the whole sum
         if len(Ts) > 1:
             raise DomainError(f"T = 0 is summed alone, not among {Ts!r}")
-        return _tail_sums(kind, d, columns, 0, (0, 0, 0, 0), tol.quad_rel)
+        return _tail_sums(kind, d, columns, -1, (0, 0, 0, 0), tol.quad_rel)
     i_low = Ts.index(min(Ts))
     low = columns[i_low]  # its terms decay the slowest: it sets the layout
     pairs = [col.pair_fns for col in columns]
@@ -729,52 +736,46 @@ def _matsubara_sums(kind: str, geom: Geometry, Ts, tolerances: Optional[Toleranc
     # max(M_s, 30) for energies and 5 for pressures, which take one more block
     log_f = math.log(4.0 * abs(_GREGORY[8]) / sum_rel) + 9.0 * math.log(low.a)  # a^9 underflows
     m_s = math.ceil(max(log_f / low.a, 30.0))  # a -inf M_s takes the floor
-    n_next = 0
+    n_next, stop = 0, None
+    others = [col for col in columns if col is not low]
     T_col, coef_col, a_col = np.array([(col.T, col.coef, col.a) for col in columns]).T[..., None]
-    while True:
+    while stop is None:
         size = _BLOCK_MAX + (n_next == 0)
         if head:
             size = min(_HEAD_BLOCK, m_s + 10) + 1 if n_next == 0 else _HEAD_NEXT
         ns = np.arange(n_next, n_next + size, dtype=float)
-        bounds = (None,) * len(columns)
-        if not head:  # up to the lead column's stop for its |acc| (coef/a before any term)
+        bounds = ((),) * len(columns)
+        if not head:  # up to the lowest temperature's stop for its |acc| (coef/a before any term)
             bound = coef_col * _passivity_tail(kind, a_col, ns)
-            target = sum_rel * (abs(low.acc) if n_next else low.coef / low.a)
+            target = sum_rel * (abs(low.acc[-1]) if n_next else low.coef / low.a)
             size = max(np.count_nonzero(bound[i_low] > target), n_next == 0) + 1  # R falls with n
             ns, bounds = ns[:size], bound[:, :size].tolist()
         xis = 2.0 * math.pi * ns * phys.K_B * T_col / phys.HBAR
         vals, errs, notes, work = _block_integrals(kind, d, xis, pairs, tol.quad_rel)
         counts = [c + w for c, w in zip(counts, (len(ns),) + work)]
         wc = np.where(ns == 0.0, 0.5 * coef_col, coef_col)  # the n = 0 half-weight
-        tm_parts, te_parts = (wc * vals).tolist()
-        blocks = [(kind, n_next) + block for block in zip(
-            tm_parts, te_parts, (wc * (errs[0] + errs[1])).tolist(), notes, xis,
-            vals.swapaxes(0, 1), bounds)]
-        for col in columns:
-            col.row = 0
-        # every column's stop test holds at the joint stop, the lowest
-        # temperature's among them: it leads, and the others follow to its stops
-        while True:
-            i = low.walk(blocks[i_low], len(ns), True, sum_rel)
-            for col, block in zip(columns, blocks):
-                if col is not low:
-                    col.walk(block, i + 1, False, sum_rel)
-            met = all([col.met for col in columns])
-            if met or i == len(ns) - 1:
+        for col, *rows in zip(columns, *(wc * vals).tolist(),
+                              (wc * (errs[0] + errs[1])).tolist(), notes, bounds):
+            col.add(*rows)
+        # the joint stop: the first n where every column's test holds, tried
+        # first on the lowest temperature, whose terms decay the slowest
+        for n in range(n_next, n_next + len(ns)):
+            if low.met(n, head, sum_rel) and all([col.met(n, head, sum_rel) for col in others]):
+                stop = n
                 break
-        n = n_next + i
-        if met:
-            break
         n_next += len(ns)
 
     if not head:
-        return tuple([col.result(n, SumStats(len(col.per_n), *counts)) for col in columns])
-    return _tail_sums(kind, d, columns, n - 9, counts, tol.quad_rel)
+        return tuple([col.result(n + 1, n, col.acc[n + 1], col.quad_err[n + 1], col.bound[n],
+                                 SumStats(n + 1, *counts)) for col in columns])
+    return _tail_sums(kind, d, columns, n, counts, tol.quad_rel)
 
 
-def _tail_sums(kind: str, d: float, columns, m: int, counts, quad_rel: float) -> tuple:
-    """Each column's head terms n < m plus its tail from n = m; ``counts`` is
-    the head's work (terms computed, nodes, passes, panels); m = 0 at T = 0."""
+def _tail_sums(kind: str, d: float, columns, n: int, counts, quad_rel: float) -> tuple:
+    """Each column's terms below m = n - 9, n the head's stop row, plus its
+    tail from m; ``counts`` is the head's work (terms computed, nodes,
+    passes, panels).  At T = 0, n = -1 and m = 0: the tail is the sum."""
+    m = max(n - 9, 0)
     # Sum_{n >= M} f(n) = (1/a) Int_{s_M}^oo F(s) ds + Gregory's correction,
     # with s = 2 d xi / c = a n and F the summand at xi = s c / (2 d)
     J, J_err, tail_notes, (nodes, passes, cells) = _tail_integral(
@@ -782,17 +783,14 @@ def _tail_sums(kind: str, d: float, columns, m: int, counts, quad_rel: float) ->
     stats = SumStats(m, counts[0], counts[1] + nodes, counts[2] + passes, counts[3] + cells, nodes)
     results = []
     for col, j, j_err, notes_j in zip(columns, J, J_err, tail_notes):
-        col.warnings.extend(notes_j)
         # coef/a, or at T = 0 its limit hbar c/(32 pi^2 d^3) (pressure: d^4)
         per_s = col.coef / col.a if col.a else phys.HBAR * phys.C_LIGHT / (
             32.0 * math.pi**2 * d**3 * (d if kind == "pressure" else 1.0))
-        remainder = (_gregory(col.terms[m:m + 8]) if m else 0.0) + per_s * j
-        head_sum = 0.0
-        for term in col.terms[:m]:
-            head_sum += term
-        col.acc, col.per_n = head_sum + remainder, col.per_n[:m]
-        col.quad_err += per_s * j_err
-        results.append(col.result(m - 1, stats, remainder))
+        remainder, trunc = (_gregory(col.terms[m:m + 8]), _gregory_next(col.terms[m:n + 1])
+                            ) if m else (0.0, 0.0)
+        remainder += per_s * j
+        results.append(col.result(m, n, col.acc[m] + remainder, col.quad_err[n + 1] + per_s * j_err,
+                                  trunc, stats, remainder, notes_j))
     return tuple(results)
 
 
@@ -809,8 +807,8 @@ def free_energies(geom: Geometry, temperatures,
                   tolerances: Optional[Tolerances] = None) -> tuple:
     """Free energies per area [erg/cm^2] at several temperatures, from one walk.
 
-    The sums share the lowest temperature's layout and stop (see the module
-    notes); one temperature gives ``free_energy_per_area``'s result.  A 0
+    The sums share the lowest temperature's layout and one stop (see the
+    module notes); one temperature gives ``free_energy_per_area``'s result.  A 0
     among several temperatures is a DomainError: T = 0 has no terms to share.
     """
     return _matsubara_sums("energy", geom, tuple(temperatures), tolerances)

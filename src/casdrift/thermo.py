@@ -7,7 +7,7 @@ the implicit dependence of the reflection amplitudes through the material
 state (carrier density, screening, relaxation).  The four free energies,
 at T +- h and T +- h/2, are one engine call
 (:func:`~casdrift.lifshitz.free_energies`): they share the lowest
-temperature's blocks, panels, stop and tail cells, so the differences
+temperature's blocks, panels and tail cells, and one stop, so the differences
 carry no change of mesh, and the call takes a quarter of the passes of
 four separate sums.  Analytic low-temperature
 decompositions are deliberately not implemented; sweeps report the Nernst

@@ -532,6 +532,25 @@ class TestColumns:
         if T == 1.0:
             assert col.stats.passes == 4 and col.stats.tail_rows > 441 * 4
 
+    def test_a_higher_temperature_can_set_the_joint_stop(self, monkeypatch):
+        # the higher column reflects weakly (r = 1e-6 against 0.5): its value is
+        # about 1e-12 of the other's, so its R(n) falls below sum_rel of it
+        # only well past the lower column's own stop
+        low, high = 300.0, 315.0
+
+        def weak_at_high(model, spec, T):
+            r = 1e-6 if T == high else 0.5
+            return lambda xi, k: (r + 0.0 * k, r + 0.0 * k)
+        monkeypatch.setattr(lifshitz, "amplitude_fn", weak_at_high)
+        geom = Geometry.identical(D_1UM, GE, Drift())
+        sum_rel = Tolerances().sum_rel
+        columns = free_energies(geom, (high, low))
+        for T, col in zip((high, low), columns):
+            assert col.truncation_error_estimate <= sum_rel * abs(col.value), T
+        single = free_energy_per_area(geom, low)
+        assert columns[1].stats.terms_kept > single.stats.terms_kept, (
+            columns[1].stats, single.stats)
+
     def test_no_temperature_is_refused(self):
         with pytest.raises(DomainError):
             free_energies(Geometry.identical(D_1UM, GE, Drift()), ())
@@ -943,6 +962,21 @@ class TestEngineGuards:
                     assert T > 1.6e-292, (model, op.__name__)
                     assert_close(value, op(geom, 0.0).value, 1e-14,
                                  what=f"{model} {op.__name__}")
+
+    def test_non_finite_node_of_a_dropped_panel_is_refused(self):
+        # at 1e-20 K, Q = r1 r2 exp(-u) rounds to 1 at a first-pass node of
+        # xi_1's TM integrand (r_TM = 1, u ~ 1e-22): ln(1 - Q) = -inf there,
+        # and refining splits that panel away, so a later pass never sees it
+        geom = Geometry.identical(D_1UM, GE, Conductivity(2.09e10))
+        T = 1e-20
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(SummationError, match="non-finite energy integral") as info:
+                free_energy_per_area(geom, T)
+        xi = info.value.diagnostics["xi"]  # a term's Matsubara frequency, not a tail node's
+        n = round(xi / phys.matsubara_xi(1, T))
+        assert n >= 1 and xi == pytest.approx(phys.matsubara_xi(n, T), rel=1e-14), xi
+        for t in (1e-15, 1e-12, 1e-10):  # a finite pass throughout
+            assert_close(free_energy_per_area(geom, t).value, -1.52135233602e-7, 1e-11, t)
 
     def test_non_finite_integral_is_refused(self, monkeypatch):
         def nan_amplitudes(model, spec, T):
