@@ -40,7 +40,6 @@ from .materials import (
     band_gap,
     bare_eps,
     carrier_density,
-    get_material,
     material_state,
     relaxation_time,
 )

@@ -179,20 +179,16 @@ def _cmd_nernst(cfg: RunConfig) -> int:
     geom = Geometry.identical(cfg.distances_cm[0], cfg.material, cfg.model)
     report = nernst_sweep(geom, cfg.T_list, tolerances=cfg.tolerances)
     rows = [(pt.T, pt.S, pt.richardson_error) for pt in report.points]
-    # the deep-freeze ratio bound only applies when the sweep reaches the
-    # carrier freeze-out regime; shorter sweeps are judged on monotonicity
-    deep = min(cfg.T_list) <= 15.0
-    ok = report.monotone_abs_decreasing and (
-        report.s_ratio_low_to_high < 0.05 if deep else True)
+    verdict = "PASS" if report.passed else "FAIL"
     trailing = [
         f"monotone_abs_S_below_75K = {report.monotone_abs_decreasing}",
         f"S_ratio_lowT_to_highT = {_fmt(report.s_ratio_low_to_high)}",
-        f"nernst_trend = {'PASS' if ok else 'FAIL'}",
+        f"nernst_trend = {verdict}",
     ]
     _emit(cfg, ("T_K", "S_erg_cm2K", "error_est"), rows, trailing)
     if cfg.out:
-        print(f"nernst trend: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 4
+        print(f"nernst trend: {verdict}")
+    return 0 if report.passed else 4
 
 
 def _cmd_nonlocal_verify(cfg: RunConfig) -> int:

@@ -65,10 +65,14 @@ __all__ = [
     "build_run_config",
 ]
 
+# The float [material] keys in reading order, each with its MaterialSpec field;
+# the first one missing or not a float decides the error
 _MATERIAL_KEYS = {
-    "name", "eps0", "eps_inf", "omega0", "nc_prefactor", "nv_prefactor",
-    "gap_e0", "gap_alpha", "gap_beta", "tau0", "tau1", "tau_c1", "tau_c2",
-    "mass_ratio", "carrier_doubling",
+    "eps0": "eps0", "eps_inf": "eps_inf", "omega0": "omega0",
+    "nc_prefactor": "nc_prefactor", "nv_prefactor": "nv_prefactor",
+    "gap_e0": "gap_E0", "gap_alpha": "gap_alpha", "gap_beta": "gap_beta",
+    "tau0": "tau0_ps", "tau1": "tau1_ps", "tau_c1": "tau_C1", "tau_c2": "tau_C2",
+    "mass_ratio": "mass_ratio",
 }
 
 
@@ -166,33 +170,19 @@ def parse_model(name: str, material: MaterialSpec,
 
 
 def _material_from_section(section) -> MaterialSpec:
-    unknown = set(k.lower() for k in section) - _MATERIAL_KEYS
+    unknown = set(section) - _MATERIAL_KEYS.keys() - {"name", "carrier_doubling"}
     if unknown:
-        raise ConfigError(
-            f"unknown [material] config keys: {', '.join(sorted(unknown))}"
-        )
-    def need(key):
-        if key not in section:
-            raise ConfigError(f"[material] section is missing key {key!r}")
-        return section[key]
+        raise ConfigError(f"unknown [material] config keys: {', '.join(sorted(unknown))}")
+    values = {}
     try:
-        perm = SellmeierPermittivity(
-            eps0=float(need("eps0")),
-            eps_inf=float(need("eps_inf")),
-            omega0=float(need("omega0")),
-        )
+        for key, name in _MATERIAL_KEYS.items():
+            if key not in section:
+                raise ConfigError(f"[material] section is missing key {key!r}")
+            values[name] = float(section[key])
         return MaterialSpec(
-            permittivity=perm,
-            nc_prefactor=float(need("nc_prefactor")),
-            nv_prefactor=float(need("nv_prefactor")),
-            gap_E0=float(need("gap_e0")),
-            gap_alpha=float(need("gap_alpha")),
-            gap_beta=float(need("gap_beta")),
-            tau0_ps=float(need("tau0")),
-            tau1_ps=float(need("tau1")),
-            tau_C1=float(need("tau_c1")),
-            tau_C2=float(need("tau_c2")),
-            mass_ratio=float(need("mass_ratio")),
+            permittivity=SellmeierPermittivity(
+                values.pop("eps0"), values.pop("eps_inf"), values.pop("omega0")),
+            **values,
             carrier_doubling=section.getboolean("carrier_doubling", fallback=True),
             name=section.get("name", "custom"),
         )
@@ -215,12 +205,10 @@ def load_config_file(path: str):
     run = {}
     if parser.has_section("run"):
         section = parser["run"]
-        unknown = set(k.lower() for k in section) - _RUN_KEYS
+        unknown = set(section) - _RUN_KEYS
         if unknown:
-            raise ConfigError(
-                f"unknown [run] config keys: {', '.join(sorted(unknown))}"
-            )
-        run = {k.lower(): v for k, v in section.items()}
+            raise ConfigError(f"unknown [run] config keys: {', '.join(sorted(unknown))}")
+        run = dict(section)
     material = None
     if parser.has_section("material"):
         material = _material_from_section(parser["material"])

@@ -246,10 +246,7 @@ def _with_model(geom: Geometry, model: ReflectionModel) -> Geometry:
 
 
 def _pair_fns(geom: Geometry, T: float):
-    p1 = amplitude_fn(geom.plate1.model, geom.plate1.material, T)
-    if geom.plate2 is geom.plate1:  # the cache would return p1 again
-        return p1, p1
-    return p1, amplitude_fn(geom.plate2.model, geom.plate2.material, T)
+    return tuple(amplitude_fn(p.model, p.material, T) for p in (geom.plate1, geom.plate2))
 
 
 def _q_pair(pair1, pair2, xi, k, t, u_min):
@@ -728,8 +725,7 @@ def _matsubara_sums(kind: str, geom: Geometry, Ts, tolerances: Optional[Toleranc
     # The threshold counts nodes; it was set so low when the direct walk ended
     # 2.5-4 sum_rel short of the complete sum at 94-168 terms.
     # The nernst point at 40 K: head and tail take 0.71 of a walk's time (one Xeon core)
-    head = (math.log(1.0 / sum_rel) * phys.C_LIGHT / (2.0 * d * phys.matsubara_xi(1, low.T))
-            > _HEAD_BLOCK + 1 + _TAIL_TERMS)
+    head = math.log(1.0 / sum_rel) / low.a > _HEAD_BLOCK + 1 + _TAIL_TERMS
     # the first head block reaches 10 terms past M_s, where Gregory's stop is
     # met by a summand F0 exp(-a n) with acc = F0/a, or past n = 30 for the
     # s^2 ln s regime near s = 0; over 1,920 tail sums M ran at most 1 past

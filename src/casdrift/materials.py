@@ -41,7 +41,6 @@ __all__ = [
     "carrier_density",
     "relaxation_time",
     "material_state",
-    "get_material",
 ]
 
 T_VALID_MAX = 400.0  # K; fits quoted for ~20-300 K
@@ -177,16 +176,6 @@ BUILTIN = {"Ge": GE, "Si": SI}
 # measured values and do NOT coincide with e^2 n0 tau / m computed from the
 # transport fit; the conductivity model therefore takes sigma0 explicitly.
 DEFAULT_COND_SIGMA0_OHM_CM = {"Ge": 1.0 / 43.0, "Si": 1.0 / 2.3e5}
-
-
-def get_material(name: str) -> MaterialSpec:
-    """Look up a built-in material by name ("Ge" | "Si")."""
-    try:
-        return BUILTIN[name]
-    except KeyError:
-        raise DomainError(
-            f"unknown material {name!r}; built-ins: {sorted(BUILTIN)}"
-        ) from None
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ integrals against adaptive q_z quadrature.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -155,15 +156,22 @@ def nonlocal_stages(state: MaterialState):
     The frequency stage returns (a0, kq^2, eps (a0 + kq^2), w,
     eps_perp w, (1 - eps_perp) w), the xi-only parts of :func:`h_a` and
     :func:`h_tildes`; the products of the material state are formed once,
-    here.  The wavevector stage forms h_a, the tilded integrals and
-    H_tm - 1, and maps H - 1 to r.
+    here.  It raises EvaluationError where eps (a0 + kq^2) would overflow
+    (D ~ T; Ge from 1e-288 K).  The wavevector stage forms h_a, the tilded
+    integrals and H_tm - 1, and maps H - 1 to r.
     """
     tau, D, T, k_b = state.tau, state.D, state.T, phys.K_B
     screen = _FOURPI * phys.E_CHARGE**2 * state.n0   # 4 pi e^2 n0
+    limit = 0.5 * D * sys.float_info.max
 
     def frequency(xi, eps_bar):
         ep = eps_perp_drift(xi, state, eps_bar)
-        a0 = xi * (1.0 + xi * tau) / D
+        a0_D = xi * (1.0 + xi * tau)
+        big = eps_bar * a0_D > limit  # checked before numpy can warn of an overflow
+        if big.any() if type(big) is _ndarray else big:
+            raise EvaluationError(f"eps (a0 + kq^2) overflows: D = {D!r} cm^2/s at T = {T!r} K",
+                                  xi=float(xi[big][0] if type(big) is _ndarray else xi))
+        a0 = a0_D / D
         kq2 = screen / (eps_bar * k_b * T)
         return (a0, kq2, eps_bar * (a0 + kq2)) + transverse_parts(xi, ep)
 

@@ -11,7 +11,8 @@ temperature's blocks, panels and tail cells, and one stop, so the differences
 carry no change of mesh, and the call takes a quarter of the passes of
 four separate sums.  Analytic low-temperature
 decompositions are deliberately not implemented; sweeps report the Nernst
-statement as a trend, and the test suite holds bare and drift plates to
+statement as a trend and a verdict, ``NernstReport.passed`` (the CLI's
+``nernst_trend``).  The test suite holds bare and drift plates to
 E(T) - E(0) -> C T^3, C = -zeta(3) (eps0 - 1)^2 kB^3/(4 pi (eps0 + 1) (hbar c)^2),
 so S -> 3 |C| T^2, with E(0) = ``free_energy_per_area(geom, 0.0)``.  The
 test suite also probes the mode function near xi = 0 at fixed k (TE
@@ -61,6 +62,7 @@ class NernstReport:
     points: tuple
     monotone_abs_decreasing: bool   # |S| decreasing toward low T (T <= 75 K)
     s_ratio_low_to_high: float      # |S(T_min)| / |S(T_max)|
+    passed: bool                    # the Nernst trend holds (see nernst_sweep)
 
 
 def entropy(geom: Geometry, T: float,
@@ -104,11 +106,12 @@ def entropy(geom: Geometry, T: float,
 
 def nernst_sweep(geom: Geometry, T_list: Sequence[float],
                  tolerances: Optional[Tolerances] = None) -> NernstReport:
-    """Entropy at each temperature with shared settings, plus diagnostics.
+    """Entropy at each temperature with shared settings, plus the verdict.
 
     ``monotone_abs_decreasing`` checks that |S| decreases with T over the
-    sweep's temperatures at or below 75 K (sorted descending), the
-    desk-scale version of the Nernst trend.
+    sweep's temperatures at or below 75 K, the desk-scale Nernst trend.
+    ``passed`` also asks ``s_ratio_low_to_high < 0.05`` of a sweep that
+    reaches the carrier freeze-out regime (lowest T at or below 15 K).
     """
     pts = [entropy(geom, t, tolerances=tolerances) for t in T_list]
     low = sorted((pt for pt in pts if pt.T <= 75.0), key=lambda pt: -pt.T)
@@ -117,6 +120,6 @@ def nernst_sweep(geom: Geometry, T_list: Sequence[float],
     ratio = math.inf
     if by_T and abs(by_T[-1].S) > 0.0:
         ratio = abs(by_T[0].S) / abs(by_T[-1].S)
-    return NernstReport(points=tuple(pts),
-                        monotone_abs_decreasing=monotone,
-                        s_ratio_low_to_high=ratio)
+    deep = by_T and by_T[0].T <= 15.0
+    return NernstReport(points=tuple(pts), monotone_abs_decreasing=monotone,
+                        s_ratio_low_to_high=ratio, passed=monotone and (ratio < 0.05 or not deep))

@@ -29,7 +29,9 @@ library result by an independent route:
 * :func:`ideal_metal_energy`, :func:`ideal_metal_pressure` -- the
   low-temperature closed forms for two ideal metals;
 * :func:`nernst_law` -- the T^3 law of E(T) - E(0) for bare or drift
-  plates.
+  plates, and :func:`nernst_entropy`, its entropy 3 |C| T^2;
+* :func:`jump_entropy` -- the low-temperature entropy plateau S0 of a
+  fixed dc conductivity's n = 0 TM jump.
 
 The rest are verification helpers that only the tests call: the (xi, k)
 evaluation point :class:`Mode` the record-style helpers take, the drift
@@ -633,6 +635,23 @@ def nernst_law(spec: MaterialSpec) -> float:
     eps0 = spec.permittivity.eps0
     hc = phys.HBAR * phys.C_LIGHT
     return -ZETA3 * (eps0 - 1.0) ** 2 * phys.K_B**3 / (4.0 * math.pi * (eps0 + 1.0) * hc * hc)
+
+
+def nernst_entropy(spec: MaterialSpec, T: float) -> float:
+    """3 |C| T^2 [erg/(cm^2 K)]: the entropy of :func:`nernst_law`'s T^3 law."""
+    return -3.0 * nernst_law(spec) * T * T
+
+
+def jump_entropy(spec: MaterialSpec, d: float) -> float:
+    """S0 = kB [zeta(3) - Li3(r0^2)] / (16 pi d^2) [erg/(cm^2 K)], r0 = (eps0 - 1)/(eps0 + 1).
+
+    The entropy of a fixed dc conductivity's n = 0 TM jump from r0 to 1:
+    the n = 0 term -kB T Li3(r^2)/(16 pi d^2) of the energy moves by
+    -kB T [zeta(3) - Li3(r0^2)]/(16 pi d^2), linear in T.
+    """
+    eps0 = spec.permittivity.eps0
+    r0 = (eps0 - 1.0) / (eps0 + 1.0)
+    return phys.K_B * (ZETA3 - float(mp.polylog(3, r0 * r0))) / (16.0 * math.pi * d * d)
 
 
 def _n0_term(res) -> float:

@@ -24,11 +24,11 @@ from casdrift.lifshitz import (
     ratio_to_bare,
 )
 from casdrift.materials import (
+    BUILTIN,
     GE,
     SI,
     band_gap,
     bare_eps,
-    get_material,
     material_state,
     relaxation_time,
 )
@@ -248,7 +248,7 @@ def test_criterion_08c_cond_material_independence_at_20um():
     # ratio curve has converged to its own perfect-conductor asymptote
     out = {}
     for name in ("Ge", "Si"):
-        spec = get_material(name)
+        spec = BUILTIN[name]
         geom = Geometry.identical(20.0 * UM, spec, parse_model("cond", spec, None))
         e_cond = free_energy_per_area(geom, 300.0).value
         e_bare = free_energy_per_area(Geometry.identical(20.0 * UM, spec, Bare()), 300.0).value

@@ -1,7 +1,9 @@
 """The package's public surface, pinned, and the README's library example.
 
 Names that only the tests call live in ``tests/oracles.py``; none of them
-is exported, and a new export has to be added here on purpose.  No source
+is exported, and a new export has to be added here on purpose.  The one
+exported name that only the tests call is ``IdealMetal``, the reference
+model that the closed-form tests run through the engine.  No source
 module reaches into another's private names.
 """
 
@@ -22,8 +24,7 @@ PUBLIC = {
     "ratio_to_bare",
     # materials
     "BUILTIN", "GE", "SI", "MaterialSpec", "MaterialState", "SellmeierPermittivity",
-    "band_gap", "bare_eps", "carrier_density", "get_material", "material_state",
-    "relaxation_time",
+    "band_gap", "bare_eps", "carrier_density", "material_state", "relaxation_time",
     # phys
     "matsubara_xi", "sigma_gaussian", "thermal_wavelength",
     # reflection

@@ -97,21 +97,49 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "frobnicate" in err
 
 
+# a complete [material] section
+_FILM = {"eps0": "12.0", "eps_inf": "1.05", "omega0": "6.0e15",
+         "nc_prefactor": "2.0e15", "nv_prefactor": "1.0e15",
+         "gap_e0": "0.8", "gap_alpha": "4.0e-4", "gap_beta": "300",
+         "tau0": "0.5", "tau1": "0.5", "tau_c1": "0.0", "tau_c2": "0.0",
+         "mass_ratio": "0.2"}
+
+
+def _film(drop=(), **values):
+    """A [material] section: _FILM without the keys ``drop``, with ``values`` set."""
+    keys = {k: v for k, v in _FILM.items() if k not in drop} | values
+    return "[material]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+
+
 def test_inline_material_section(tmp_path, capsys):
     cfg = tmp_path / "mat.cfg"
-    cfg.write_text(
-        "[material]\n"
-        "name = film\n"
-        "eps0 = 12.0\neps_inf = 1.05\nomega0 = 6.0e15\n"
-        "nc_prefactor = 2.0e15\nnv_prefactor = 1.0e15\n"
-        "gap_e0 = 0.8\ngap_alpha = 4.0e-4\ngap_beta = 300\n"
-        "tau0 = 0.5\ntau1 = 0.5\ntau_c1 = 0.0\ntau_c2 = 0.0\n"
-        "mass_ratio = 0.2\n"
-    )
+    cfg.write_text(_film(name="film"))
     rc, out, _ = run_cli(capsys, "materials", "--config", str(cfg), "--T", "300")
     assert rc == 0
     meta, _, rows, _ = parse_csv(out)
     assert meta["material"] == "film"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[runn]\nmaterial = Ge\n", "unknown config sections: runn"),
+    (_film(colour="red"), "unknown [material] config keys: colour"),
+    (_film(drop=("eps_inf",)), "[material] section is missing key 'eps_inf'"),
+    (_film(drop=("mass_ratio",)), "[material] section is missing key 'mass_ratio'"),
+    (_film(tau0="fast"), "bad [material] value: could not convert string to float: 'fast'"),
+    # the first key in reading order that is missing or not a float decides
+    (_film(drop=("mass_ratio",), eps0="x"),
+     "bad [material] value: could not convert string to float: 'x'"),
+    (_film(eps0="0.5"), "need eps0 > eps_inf >= 1"),
+    (None, "cannot read config file"),
+], ids=["section", "key", "eps_inf-missing", "mass_ratio-missing", "tau0-bad",
+        "bad-value-before-missing-key", "eps0-domain", "no-file"])
+def test_config_file_errors_exit_2(text, message, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    rc, out, err = run_cli(capsys, "materials", "--config", str(cfg))
+    assert (rc, out) == (2, "")
+    assert message in err
 
 
 def test_unknown_material_exits_2(capsys):
@@ -177,6 +205,13 @@ def test_reflect_arithmetic_failure_exits_3(model, T, xi, k, capsys):
     assert rc == 3
     assert "numerical failure" in err
     assert "nan" not in out
+
+
+def test_nonlocal_overflow_exits_3(capsys):
+    rc, out, err = run_cli(capsys, "pressure", "--material", "Ge", "--model", "nonlocal",
+                           "--T", "1e-288", "--d", "1")
+    assert (rc, out) == (3, "")
+    assert "overflows" in err
 
 
 def test_n_terms_column_counts_the_summed_terms(capsys):
@@ -355,7 +390,8 @@ def test_failed_nernst_trend_exits_4(tmp_path, capsys, monkeypatch):
     points = tuple(EntropyPoint(T=t, S=1e-10, fd_step=1.0, richardson_error=0.0)
                    for t in (20.0, 10.0))
     monkeypatch.setattr(cli, "nernst_sweep", lambda *a, **kw: NernstReport(
-        points=points, monotone_abs_decreasing=False, s_ratio_low_to_high=1.0))
+        points=points, monotone_abs_decreasing=False, s_ratio_low_to_high=1.0,
+        passed=False))
     out = tmp_path / "n.csv"
     rc, _, _ = run_cli(capsys, "nernst", "--material", "Ge", "--T-list", "20,10",
                        "--out", str(out))
@@ -511,3 +547,8 @@ def test_readme_flag_table_matches_the_inputs():
                 documented[command] = flags
     assert documented == {command: [f"--{inp.flag}" for inp in inputs]
                           for command, inputs in COMMAND_INPUTS.items()}
+    # and the cli module's docstring lists the same commands, in the same order
+    from casdrift import cli
+    listing = cli.__doc__.split("-----------\n", 1)[1].split("\n\n", 1)[0]
+    assert [line.split()[0] for line in listing.splitlines()
+            if not line.startswith(" ")] == list(COMMAND_INPUTS)

@@ -159,6 +159,14 @@ class TestPressureEnergyConsistency:
 
 
 class TestShapeAndBookkeeping:
+    def test_equal_plates_share_one_provider(self):
+        # amplitude_fn's cache gives equal plates one closure, which
+        # _q_pair then calls once per block
+        for geom in (Geometry.identical(D_1UM, GE, Drift()),
+                     Geometry(D_1UM, Plate(GE, Drift()), Plate(GE, Drift()))):
+            pair1, pair2 = lifshitz._pair_fns(geom, 10.0)
+            assert pair2 is pair1
+
     def test_energy_negative_increasing_pressure_positive_decreasing(self):
         ds = [0.3e-4, 0.7e-4, 1.5e-4, 4e-4]
         es = [free_energy_per_area(Geometry.identical(d, GE, Drift()), 300.0).value
@@ -962,6 +970,14 @@ class TestEngineGuards:
                     assert T > 1.6e-292, (model, op.__name__)
                     assert_close(value, op(geom, 0.0).value, 1e-14,
                                  what=f"{model} {op.__name__}")
+
+    def test_nonlocal_overflow_is_refused(self):
+        # at 1e-288 K the Nonlocal frequency stage's eps (a0 + kq^2) would
+        # overflow while the amplitude stays finite; 1e-287 K keeps its bits
+        geom = Geometry.identical(D_1UM, GE, Nonlocal())
+        with pytest.raises(CasdriftError, match="overflows"):
+            pressure(geom, 1e-288)
+        assert pressure(geom, 1e-287).value == 0.004558419417642696
 
     def test_non_finite_node_of_a_dropped_panel_is_refused(self):
         # at 1e-20 K, Q = r1 r2 exp(-u) rounds to 1 at a first-pass node of

@@ -12,7 +12,6 @@ from casdrift.materials import (
     band_gap,
     bare_eps,
     carrier_density,
-    get_material,
     material_state,
     relaxation_time,
 )
@@ -182,13 +181,6 @@ class TestTemperatureBehaviour:
         # kB T underflows: no ZeroDivisionError reaches the caller
         with pytest.raises(DomainError, match="kB T normal"):
             material_state(GE, T)
-
-
-def test_get_material():
-    assert get_material("Ge") is GE
-    assert get_material("Si") is SI
-    with pytest.raises(DomainError):
-        get_material("GaAs")
 
 
 def test_zero_carrier_freezes_out_exactly():

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 
 from casdrift import phys
 from casdrift.errors import DomainError, EvaluationError
 from casdrift.materials import GE, SI, bare_eps, material_state
-from casdrift.reflection import Drift, amplitude_fn
+from casdrift.reflection import Drift, Nonlocal, amplitude_fn
 from casdrift.spatial import (
     eps_perp_drift,
     r_from_H_tilde,
@@ -178,6 +179,19 @@ class TestRFromH:
 
     def test_tilde_form_consistent(self):
         assert_close(r_from_H_tilde(0.3), r_from_H(1.3), 1e-14)
+
+
+class TestNonlocalOverflow:
+    # at 1e-288 K, D = kB T tau/m is 2.2e-288 cm^2/s and eps (a0 + kq^2),
+    # a0 = xi (1 + xi tau)/D, leaves the floats at xi ~ 7e15 rad/s
+    def test_float_and_array_calls_refuse_alike(self):
+        pair = amplitude_fn(Nonlocal(), GE, 1e-288)
+        for xi in (1e16, np.array([1e10, 1e16, 1e17])):
+            with pytest.raises(EvaluationError, match="overflows") as info:
+                pair(xi, 1e3)
+            assert info.value.xi == 1e16  # the first offending frequency
+        r_tm, r_te = pair(np.array([1e10, 1e15]), 1e3)  # below the limit
+        assert np.isfinite(r_tm).all() and np.isfinite(r_te).all()
 
 
 class TestEquivalenceTheorem:
